@@ -90,15 +90,16 @@ rm -f "$bench_e10"
 
 # RSA-kernel smoke: the E12 sweep must stay machine-readable, batch
 # verification must not be slower than serial at n=64, signing must stay
-# under the recorded per-width floors (both booleans are computed by the
-# measurement code itself), and a tampered batch member must be attributed.
+# under the recorded per-width floors and allocate no BigUint limb buffers
+# (these booleans are computed by the measurement code itself), and a
+# tampered batch member must be attributed.
 echo "==> experiments --bench-e12 --quick"
 bench_e12="$(mktemp)"
 cargo run -q -p tpnr-bench --bin experiments -- --bench-e12 "$bench_e12" --quick
 cargo run -q -p tpnr-bench --bin experiments -- --validate-jsonl "$bench_e12"
-if grep -Eq '"(batch_not_slower|sign_floor_ok|tampered_attributed)":false' "$bench_e12"; then
+if grep -Eq '"(batch_not_slower|sign_floor_ok|sign_alloc_free|tampered_attributed)":false' "$bench_e12"; then
     echo "error: E12 kernel sweep failed a perf/soundness gate" >&2
-    grep -E '"(batch_not_slower|sign_floor_ok|tampered_attributed)":false' "$bench_e12" >&2
+    grep -E '"(batch_not_slower|sign_floor_ok|sign_alloc_free|tampered_attributed)":false' "$bench_e12" >&2
     exit 1
 fi
 rm -f "$bench_e12"

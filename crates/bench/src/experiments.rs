@@ -790,13 +790,16 @@ pub struct E12Row {
     pub verify_fast_us: u64,
     /// `BigUint` limb-vector allocations per classic sign.
     pub allocs_per_sign_classic: u64,
-    /// `BigUint` limb-vector allocations per fixed-limb sign (the modular
-    /// exponentiation core allocates nothing; what remains is EMSA padding
-    /// and the CRT recombination glue).
+    /// `BigUint` limb-vector allocations per fixed-limb sign: the key's
+    /// engine runs the whole CRT on stack limbs, so this is 0 at every
+    /// width the engine covers.
     pub allocs_per_sign_fast: u64,
     /// Fast sign under the recorded per-width floor (noise-margined): the
     /// CI regression gate.
     pub sign_floor_ok: bool,
+    /// `allocs_per_sign_fast == 0`: the CI gate that keeps `BigUint` off
+    /// the signing path.
+    pub sign_alloc_free: bool,
 }
 
 /// The E12 batch-verification amortization row: `n` (digest, signature)
@@ -887,6 +890,7 @@ fn e12_kernel_row(kp: &tpnr_crypto::RsaKeyPair, bits: u64, alg: HashAlg, iters: 
         allocs_per_sign_classic: allocs_classic,
         allocs_per_sign_fast: allocs_fast,
         sign_floor_ok: sign_fast_us <= e12_sign_floor(bits),
+        sign_alloc_free: allocs_fast == 0,
     }
 }
 
@@ -1141,12 +1145,16 @@ pub struct E14Row {
     pub msgs_per_sec: u64,
     /// Evidence transactions settled per host-second.
     pub txn_per_sec: u64,
-    /// `txn_per_sec` normalised by the host's advertised core count. The
-    /// lane itself is single-threaded; the normalisation only makes rows
-    /// from different hosts comparable.
+    /// `txn_per_sec` divided by the threads the lane ran its protocol work
+    /// on ([`E14Row::lane_threads`]), not by the host's core count: a
+    /// single-threaded lane on a 2-core host runs at its full per-core
+    /// rate, not half of it.
     pub txn_per_sec_per_core: u64,
     /// The host's advertised core count.
     pub available_parallelism: u64,
+    /// Threads the throughput lane ran protocol work on (0 for a skipped
+    /// row). TCP reader threads only move frames off sockets.
+    pub lane_threads: u64,
     /// Backend counter: message copies sent.
     pub sent: u64,
     /// Backend counter: copies delivered.
@@ -1330,6 +1338,15 @@ fn e14_attack_timeliness<T: Transport>(net: T, seed: u64) -> bool {
     !r.completed() && expired >= 1
 }
 
+/// Threads the E14 throughput lane uses: every transaction is driven,
+/// signed, sealed and verified on the calling thread.
+const E14_LANE_THREADS: u64 = 1;
+
+/// A throughput normalised to one core of the `threads` that produced it.
+fn per_core_rate(rate: u64, threads: u64) -> u64 {
+    rate / threads.max(1)
+}
+
 /// A row for a backend that could not be brought up.
 fn e14_skipped(backend: &'static str, host: u64) -> E14Row {
     E14Row {
@@ -1341,6 +1358,7 @@ fn e14_skipped(backend: &'static str, host: u64) -> E14Row {
         txn_per_sec: 0,
         txn_per_sec_per_core: 0,
         available_parallelism: host,
+        lane_threads: 0,
         sent: 0,
         delivered: 0,
         dropped: 0,
@@ -1415,8 +1433,9 @@ fn e14_run_backend<T: Transport>(
         elapsed_ms: (elapsed * 1000.0) as u64,
         msgs_per_sec: (s.delivered as f64 / elapsed) as u64,
         txn_per_sec,
-        txn_per_sec_per_core: txn_per_sec / host.max(1),
+        txn_per_sec_per_core: per_core_rate(txn_per_sec, E14_LANE_THREADS),
         available_parallelism: host,
+        lane_threads: E14_LANE_THREADS,
         sent: s.sent,
         delivered: s.delivered,
         dropped: s.dropped,
@@ -1471,6 +1490,19 @@ pub fn trace_jsonl(seed: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn e14_per_core_rate_divides_by_lane_threads_not_host_cores() {
+        // A single-threaded lane reports its full rate whatever the host
+        // core count; a multi-threaded one is shared out; a row with no
+        // lane divides by one rather than by zero.
+        assert_eq!(per_core_rate(2_600, E14_LANE_THREADS), 2_600);
+        assert_eq!(per_core_rate(2_600, 2), 1_300);
+        assert_eq!(per_core_rate(0, 0), 0);
+        let row = e14_run_backend("simnet", 2, 1, &mut || Some(SimNet::new(1)));
+        assert_eq!(row.lane_threads, 1);
+        assert_eq!(row.txn_per_sec_per_core, row.txn_per_sec);
+    }
 
     #[test]
     fn e8_no_evidence_less_limbo_at_any_crash_probability() {

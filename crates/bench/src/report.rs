@@ -429,7 +429,7 @@ pub fn render_bench_e14_json(rows: &[E14Row]) -> String {
             "{{\"kind\":\"e14\",\"backend\":\"{}\",\"txns\":{},\"completed\":{},\
              \"elapsed_ms\":{},\"msgs_per_sec\":{},\"txn_per_sec\":{},\
              \"txn_per_sec_per_core\":{},\"available_parallelism\":{},\
-             \"sent\":{},\"delivered\":{},\"dropped\":{},\"duplicated\":{},\
+             \"lane_threads\":{},\"sent\":{},\"delivered\":{},\"dropped\":{},\"duplicated\":{},\
              \"conservation_violations\":{},\"evidence_loss\":{},\
              \"attacks_rejected\":{},\"attacks_expected\":{},\
              \"attacks_ok\":{},\"skipped\":{}}}\n",
@@ -441,6 +441,7 @@ pub fn render_bench_e14_json(rows: &[E14Row]) -> String {
             r.txn_per_sec,
             r.txn_per_sec_per_core,
             r.available_parallelism,
+            r.lane_threads,
             r.sent,
             r.delivered,
             r.dropped,
@@ -500,7 +501,8 @@ pub fn render_e12(rows: &[E12Row], batches: &[E12Batch]) -> String {
 
 /// Renders the E12 RSA-kernel sweep as machine-readable JSONL. Written to
 /// `BENCH_e12.json` by `experiments --bench-e12`. The boolean gate fields
-/// (`sign_floor_ok`, `batch_not_slower`, `tampered_attributed`) are emitted
+/// (`sign_floor_ok`, `sign_alloc_free`, `batch_not_slower`,
+/// `tampered_attributed`) are emitted
 /// by the measurement code itself so the CI smoke step can grep for them
 /// instead of re-deriving thresholds in shell.
 pub fn render_bench_e12_json(rows: &[E12Row], batches: &[E12Batch]) -> String {
@@ -510,7 +512,7 @@ pub fn render_bench_e12_json(rows: &[E12Row], batches: &[E12Batch]) -> String {
             "{{\"kind\":\"e12\",\"bits\":{},\"alg\":\"{}\",\"sign_classic_us\":{},\
              \"sign_fast_us\":{},\"sign_speedup_x100\":{},\"verify_classic_us\":{},\
              \"verify_fast_us\":{},\"allocs_per_sign_classic\":{},\
-             \"allocs_per_sign_fast\":{},\"sign_floor_ok\":{}}}\n",
+             \"allocs_per_sign_fast\":{},\"sign_floor_ok\":{},\"sign_alloc_free\":{}}}\n",
             r.bits,
             json_escape(r.alg),
             r.sign_classic_us,
@@ -521,6 +523,7 @@ pub fn render_bench_e12_json(rows: &[E12Row], batches: &[E12Batch]) -> String {
             r.allocs_per_sign_classic,
             r.allocs_per_sign_fast,
             r.sign_floor_ok,
+            r.sign_alloc_free,
         ));
     }
     for b in batches {
@@ -1039,6 +1042,7 @@ mod tests {
         assert!(jsonl.contains("\"kind\":\"e12_batch\""));
         for r in &rows {
             assert!(r.sign_fast_us > 0 && r.sign_classic_us > 0);
+            assert!(r.sign_alloc_free, "fixed-limb signing allocates no limb buffers");
             assert!(
                 r.allocs_per_sign_fast < r.allocs_per_sign_classic,
                 "fixed-limb path must allocate less: {} vs {}",

@@ -252,17 +252,28 @@ pub fn write_frame(w: &mut impl std::io::Write, body: &[u8]) -> std::io::Result<
     w.write_all(body)
 }
 
+/// Largest buffer [`read_frame`] reserves before any body byte arrives.
+const FRAME_INITIAL_CAPACITY: usize = 64 * 1024;
+
 /// Reads one length-prefixed frame written by [`write_frame`]. A hostile
-/// length prefix beyond [`MAX_FIELD_LEN`] is rejected before allocating.
+/// length prefix beyond [`MAX_FIELD_LEN`] is rejected outright; any other
+/// length only reserves [`FRAME_INITIAL_CAPACITY`] up front and grows the
+/// buffer as body bytes actually arrive, so a 4-byte header cannot make the
+/// reader allocate a gigabyte. A body shorter than its prefix is
+/// `UnexpectedEof`.
 pub fn read_frame(r: &mut impl std::io::Read) -> std::io::Result<Vec<u8>> {
+    use std::io::Read as _;
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_be_bytes(len) as usize;
     if len > MAX_FIELD_LEN {
         return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, "frame length overflow"));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    let mut body = Vec::with_capacity(len.min(FRAME_INITIAL_CAPACITY));
+    r.take(len as u64).read_to_end(&mut body)?;
+    if body.len() != len {
+        return Err(std::io::Error::new(std::io::ErrorKind::UnexpectedEof, "truncated frame body"));
+    }
     Ok(body)
 }
 
@@ -468,6 +479,43 @@ mod tests {
         write_frame(&mut trunc, b"hello").unwrap();
         trunc.pop();
         assert!(read_frame(&mut &trunc[..]).is_err());
+    }
+
+    /// A reader that records the largest buffer it is asked to fill.
+    struct Probe<'a> {
+        data: &'a [u8],
+        largest_request: usize,
+    }
+
+    impl std::io::Read for Probe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest_request = self.largest_request.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn gigabyte_length_prefix_then_eof_fails_without_a_large_buffer() {
+        let header = (1u32 << 30).to_be_bytes();
+        let mut r = Probe { data: &header, largest_request: 0 };
+        let err = read_frame(&mut r).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(
+            r.largest_request <= FRAME_INITIAL_CAPACITY,
+            "reader was handed a {}-byte buffer before any body byte arrived",
+            r.largest_request
+        );
+    }
+
+    #[test]
+    fn one_mebibyte_frame_roundtrips() {
+        let body: Vec<u8> = (0..1usize << 20).map(|i| (i % 251) as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &body).unwrap();
+        write_frame(&mut buf, b"next").unwrap();
+        let mut r = &buf[..];
+        assert_eq!(read_frame(&mut r).unwrap(), body);
+        assert_eq!(read_frame(&mut r).unwrap(), b"next");
     }
 
     #[test]

@@ -405,6 +405,23 @@ struct ArrivalQueue {
     cv: Condvar,
 }
 
+impl ArrivalQueue {
+    /// Blocks until a frame is queued or `dur` elapses; true if one is.
+    ///
+    /// The emptiness check and the sleep happen under one lock hold
+    /// (`wait_timeout_while` tests its condition before sleeping), so a
+    /// frame pushed — and notified, with nobody waiting yet — after an
+    /// earlier unlocked check is seen at once rather than after `dur`.
+    fn wait_nonempty(&self, dur: std::time::Duration) -> bool {
+        let q = self.q.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (q, _timeout) = self
+            .cv
+            .wait_timeout_while(q, dur, |q| q.is_empty())
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        !q.is_empty()
+    }
+}
+
 /// Loopback-TCP backend: real sockets, real threads, host-monotonic time.
 /// See the module docs for the determinism contract (per-connection FIFO,
 /// loss-free; cross-connection order is the host scheduler's).
@@ -722,13 +739,7 @@ impl Transport for TcpNet {
                 wake = wake.min(due);
             }
             let dur = std::time::Duration::from_micros(wake.0.saturating_sub(now.0).max(1));
-            let q = self.arrivals.q.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            let (q, _timeout) = self
-                .arrivals
-                .cv
-                .wait_timeout(q, dur)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if !q.is_empty() {
+            if self.arrivals.wait_nonempty(dur) {
                 return true;
             }
         }
@@ -874,6 +885,29 @@ mod tests {
         assert_eq!(s.delivered, 20);
         assert!(!net.in_flight());
         assert_eq!(Transport::txn_stats(&net, 9).delivered, 20);
+    }
+
+    #[test]
+    fn frame_arriving_before_the_wait_is_seen_without_waiting_out_the_chunk() {
+        // The race `wait_for_activity` must survive: it found the queue
+        // empty and released the lock, then a reader pushed a frame and
+        // notified while nobody was waiting yet. The following wait must
+        // return at once, not sleep until its timeout.
+        let arrivals = ArrivalQueue { q: Mutex::new(VecDeque::new()), cv: Condvar::new() };
+        arrivals.q.lock().unwrap().push_back(Envelope {
+            src: NodeId(0),
+            dst: NodeId(1),
+            payload: Bytes::from(b"late".to_vec()),
+            delivered_at: SimTime(0),
+            txn: None,
+        });
+        arrivals.cv.notify_all(); // no waiter: this wake-up is lost
+        let started = std::time::Instant::now();
+        assert!(arrivals.wait_nonempty(std::time::Duration::from_secs(30)));
+        assert!(started.elapsed() < std::time::Duration::from_secs(5));
+        // An empty queue still times out and reports no activity.
+        let empty = ArrivalQueue { q: Mutex::new(VecDeque::new()), cv: Condvar::new() };
+        assert!(!empty.wait_nonempty(std::time::Duration::from_millis(1)));
     }
 
     #[test]
