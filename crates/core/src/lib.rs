@@ -12,8 +12,9 @@
 //!   machines (Normal, Abort and Resolve modes, §4.1–4.3);
 //! * [`arbiter`] — dispute judgement (Figure 6d), including the blackmail
 //!   defence;
-//! * [`runner`] — the actors wired over the `tpnr-net` simulator, with
-//!   per-transaction reports;
+//! * [`runner`] — one client, provider and TTP wired over any `tpnr-net`
+//!   `Transport`, with per-transaction reports; it shares [`multi`]'s
+//!   event loop as a one-client slice;
 //! * [`bridge`] — the four §3 bridging schemes (±TAC × ±SKS);
 //! * [`baseline`] — a traditional four-step in-line-TTP fair NR protocol,
 //!   the comparison target for the "2 steps vs 4 steps" claim;
@@ -23,7 +24,7 @@
 //! * [`chunked`] — Merkle-commitment mode and remote storage audits for the
 //!   paper's TB-scale setting (an extension);
 //! * [`multi`] — one provider serving many interleaved clients (Figure 1 at
-//!   population scale);
+//!   population scale), and the one event loop both runners drive;
 //! * [`obs`] — the unified observability layer: one structured event stream
 //!   plus metrics, shared by both runners;
 //! * [`archive`] — integrity-protected evidence bundles that survive until

@@ -1,30 +1,38 @@
-//! Multi-client deployments: one provider, one TTP, many clients.
+//! Multi-client deployments, and the one event loop every runner drives.
 //!
 //! The paper's Figure 1 shows a provider serving a population of users.
 //! [`MultiWorld`] scales the single-pair runner up to N clients with
 //! interleaved transactions, which exercises properties the two-party runs
 //! cannot: per-(transaction, sender) replay windows under concurrency,
 //! cross-client isolation of objects and evidence, and aggregate TTP load.
+//!
+//! The event loop lives here once. A private `Stage` owns the wire, the
+//! routing tables, the fault injector, the timer wheel and the
+//! settled-transaction archive; a short-lived `Hub` borrows it together
+//! with the actors and `obs` and is what [`sched::settle`] drives.
+//! [`World`](crate::runner::World) drives the same hub with a one-client
+//! slice.
 
 use crate::archive::{ArchiveStats, ArchivedTxn, EvidenceBundle, TxnArchive};
-use crate::client::{Client, TimeoutStrategy};
+use crate::client::{Client, ClientSnapshot, TimeoutStrategy};
 use crate::config::ProtocolConfig;
 use crate::evidence::VerifiedEvidence;
-use crate::fault::{DeliveryVerdict, Durable, FaultCtl, FaultStats, SyncDecision};
+use crate::fault::{DeliveryVerdict, Durable, FaultCtl, FaultPlan, FaultStats, SyncDecision};
 use crate::message::Message;
 use crate::obs::{Event, EventKind, Obs};
 use crate::principal::{Directory, Principal, PrincipalId};
-use crate::provider::Provider;
+use crate::provider::{Provider, ProviderSnapshot};
 use crate::runner::{TxnReport, TxnResult};
 use crate::sched::{self, Actor, EventHub, SettleReport, TimerWheel};
-use crate::session::{Outgoing, TxnState, ValidationError};
-use crate::ttp::Ttp;
+use crate::session::{Outgoing, TxnState};
+use crate::ttp::{Ttp, TtpSnapshot};
 use std::collections::{BTreeMap, BTreeSet};
 use tpnr_crypto::ChaChaRng;
 use tpnr_net::codec::Wire;
 use tpnr_net::sim::{Envelope, LinkConfig, NodeId, SimNet};
 use tpnr_net::time::SimTime;
 use tpnr_net::transport::Transport;
+use tpnr_net::Bytes;
 
 /// A typed handle to a transaction started on a [`MultiWorld`]: which
 /// client owns it and its id. Replaces the bare `u64` returns of
@@ -58,10 +66,667 @@ struct TxnMeta {
 
 /// Last synced durable images of every actor (the crash recovery points).
 /// Allocated only when the fault plan can actually inject.
-struct MultiSnapshots {
-    clients: Vec<crate::client::ClientSnapshot>,
-    provider: crate::provider::ProviderSnapshot,
-    ttp: crate::ttp::TtpSnapshot,
+struct Snapshots {
+    clients: Vec<ClientSnapshot>,
+    provider: ProviderSnapshot,
+    ttp: TtpSnapshot,
+}
+
+impl Snapshots {
+    fn take(clients: &[Client], provider: &Provider, ttp: &Ttp) -> Box<Self> {
+        Box::new(Snapshots {
+            clients: clients.iter().map(Durable::snapshot).collect(),
+            provider: provider.snapshot(),
+            ttp: ttp.snapshot(),
+        })
+    }
+}
+
+/// Everything a runner owns besides its actors and `obs`: the wire, the
+/// routing tables, per-transaction bookkeeping, the fault injector and its
+/// recovery points, the deadline wheel and the settled-transaction archive.
+///
+/// Clients register with the transport first, so `NodeId(i)` *is* client
+/// `i`; bob and the TTP follow. Wheel keys are node indices, and the fault
+/// injector's wakeup is key `ttp_node + 1`.
+pub(crate) struct Stage<T: Transport> {
+    /// The wire.
+    pub(crate) net: T,
+    /// The provider's node.
+    pub(crate) bob_node: NodeId,
+    /// The TTP's node.
+    pub(crate) ttp_node: NodeId,
+    // Ordered map: the lint's DET-ORDER rule covers this module, and
+    // iteration must not depend on hash seeding.
+    node_of: BTreeMap<PrincipalId, NodeId>,
+    /// The principal behind each node, indexed by `NodeId`.
+    principal_of: Vec<PrincipalId>,
+    /// Owner/start/settled per started transaction (evicted entries move to
+    /// `archive`).
+    txn_meta: BTreeMap<u64, TxnMeta>,
+    /// Transactions the TTP has seen a message for.
+    ttp_touched: BTreeSet<u64>,
+    /// The fault injector executing the plan (inert and overhead-free for
+    /// the default plan).
+    faults: FaultCtl,
+    /// Last synced snapshots; `None` when the fault plan is inert.
+    snaps: Option<Box<Snapshots>>,
+    /// Scheduler-owned deadline index: actors register/cancel deadlines
+    /// here instead of being polled each step.
+    wheel: TimerWheel,
+    /// Bounded-memory store for settled transactions (sharded by txn-id
+    /// hash; oldest settled txns evicted to sealed evidence logs).
+    archive: TxnArchive,
+}
+
+impl<T: Transport> Stage<T> {
+    /// Registers the clients, then bob, then the TTP on `net`, and takes
+    /// the epoch-zero recovery points of `actors` (a crash before the
+    /// first sync restores to the freshly built actor).
+    pub(crate) fn new(
+        mut net: T,
+        plan: &FaultPlan,
+        client_principals: &[Principal],
+        bob: &Principal,
+        ttp_p: &Principal,
+        (clients, provider, ttp): (&[Client], &Provider, &Ttp),
+    ) -> Self {
+        assert!(!client_principals.is_empty());
+        let principals: Vec<&Principal> = client_principals.iter().chain([bob, ttp_p]).collect();
+        let nodes: Vec<NodeId> = principals.iter().map(|p| net.register(&p.name)).collect();
+        assert!(
+            nodes.iter().enumerate().all(|(i, n)| n.0 as usize == i),
+            "the transport must start empty: node ids double as actor indices"
+        );
+        let faults = FaultCtl::new(plan);
+        let snaps = faults.active().then(|| Snapshots::take(clients, provider, ttp));
+        let n = client_principals.len();
+        let (bob_node, ttp_node) = (nodes[n], nodes[n + 1]);
+        Stage {
+            net,
+            bob_node,
+            ttp_node,
+            node_of: principals.iter().map(|p| p.id()).zip(nodes).collect(),
+            principal_of: principals.iter().map(|p| p.id()).collect(),
+            txn_meta: BTreeMap::new(),
+            ttp_touched: BTreeSet::new(),
+            faults,
+            snaps,
+            wheel: TimerWheel::new(),
+            archive: TxnArchive::new(),
+        }
+    }
+
+    /// Borrows the stage together with the actors for one burst of work.
+    pub(crate) fn hub<'a>(
+        &'a mut self,
+        clients: &'a mut [Client],
+        provider: &'a mut Provider,
+        ttp: &'a mut Ttp,
+        obs: &'a mut Obs,
+    ) -> Hub<'a, T> {
+        Hub { stage: self, clients, provider, ttp, obs }
+    }
+
+    fn name(&self, node: NodeId) -> &str {
+        self.net.node_name(node).unwrap_or("?")
+    }
+
+    fn is_down(&self, node: NodeId) -> bool {
+        self.faults.active() && self.faults.is_down(self.name(node))
+    }
+
+    fn fault_key(&self) -> usize {
+        self.ttp_node.0 as usize + 1
+    }
+
+    fn refresh_fault_wheel(&mut self) {
+        let w = self.faults.next_wakeup();
+        self.wheel.set(self.fault_key(), w);
+    }
+
+    /// Exact per-transaction report from the transport's tagged traffic
+    /// counters; `None` for unknown transaction ids. Latency runs from
+    /// initiation to the transaction's own last delivery (other sessions
+    /// may keep the shared clock running long after this one settled).
+    pub(crate) fn report(&self, clients: &[Client], txn: u64) -> Option<TxnReport> {
+        if let Some(meta) = self.txn_meta.get(&txn) {
+            let t = self.net.txn_stats(txn);
+            return Some(TxnReport {
+                txn_id: txn,
+                state: clients[meta.client].txn_state(txn)?,
+                messages: t.delivered,
+                bytes: t.bytes_sent,
+                latency: t.last_delivered_at.since(meta.started),
+                ttp_used: self.ttp_touched.contains(&txn),
+            });
+        }
+        // Evicted: the index record froze the final accounting.
+        let rec = self.archive.get(txn)?;
+        Some(TxnReport {
+            txn_id: txn,
+            state: rec.state,
+            messages: rec.messages,
+            bytes: rec.bytes,
+            latency: rec.latency,
+            ttp_used: rec.ttp_used,
+        })
+    }
+
+    /// Typed result for a handled transaction, live or archived.
+    pub(crate) fn result(&self, clients: &[Client], h: TxnHandle) -> Option<TxnResult> {
+        let report = self.report(clients, h.txn_id)?;
+        let c = clients.get(h.client)?;
+        if let Some(t) = c.txn(h.txn_id) {
+            return Some(TxnResult {
+                txn_id: h.txn_id,
+                outcome: report.state,
+                data: c.download_result(h.txn_id).map(|p| p.data.clone()),
+                nro: Some(t.nro.clone()),
+                nrr: t.nrr.clone(),
+                report,
+            });
+        }
+        // Evicted: re-hydrate the sealed evidence from the archive log (the
+        // downloaded payload is gone — the provider's storage holds the
+        // service copy, evidence is what survives for arbitration).
+        let bundle = self.archive.load_bundle(h.txn_id)?;
+        Some(TxnResult {
+            txn_id: h.txn_id,
+            outcome: report.state,
+            data: None,
+            nro: bundle.get("client-nro").cloned(),
+            nrr: bundle.get("client-nrr").cloned(),
+            report,
+        })
+    }
+
+    /// Cumulative fault counters: the injector's own plus every client's
+    /// retry machinery (which lives outside snapshots so it never resets).
+    pub(crate) fn fault_counters(&self, clients: &[Client]) -> FaultStats {
+        let mut f = self.faults.stats;
+        for c in clients {
+            f.retries += c.retry_stats.retries;
+            f.gave_up += c.retry_stats.gave_up;
+        }
+        f
+    }
+}
+
+/// The stage and the actors, borrowed together: the only runner-side
+/// [`EventHub`].
+pub(crate) struct Hub<'a, T: Transport> {
+    stage: &'a mut Stage<T>,
+    clients: &'a mut [Client],
+    provider: &'a mut Provider,
+    ttp: &'a mut Ttp,
+    obs: &'a mut Obs,
+}
+
+impl<T: Transport> Hub<'_, T> {
+    /// Starts an upload (`data` is `Some`) or a download from client `idx`
+    /// without settling. A failed initiation yields the sentinel handle
+    /// (`txn_id` 0, never a real id) and a recorded rejection in [`Obs`],
+    /// never a panic.
+    pub(crate) fn start(
+        &mut self,
+        idx: usize,
+        key: &[u8],
+        data: Option<Bytes>,
+        strategy: TimeoutStrategy,
+    ) -> TxnHandle {
+        let now = self.stage.net.now();
+        let node = NodeId(idx as u32);
+        let begun = match data {
+            Some(data) => self.clients[idx].begin_upload(key, data, now, strategy),
+            None => self.clients[idx].begin_download(key, now, strategy),
+        };
+        let name = self.stage.name(node);
+        let (txn, out) = match begun {
+            Ok(v) => v,
+            Err(error) => {
+                self.obs.record(Event {
+                    at: now,
+                    txn: None,
+                    actor: name.to_string(),
+                    kind: EventKind::Rejected {
+                        from: name.to_string(),
+                        msg: "Transfer".to_string(),
+                        error,
+                    },
+                });
+                return TxnHandle { client: idx, txn_id: 0 };
+            }
+        };
+        self.obs.note_state(now, name, txn, TxnState::Pending);
+        self.stage.txn_meta.insert(txn, TxnMeta { client: idx, started: now, settled: false });
+        // Write-ahead: the NRO sealed at initiation must survive a crash
+        // that lands before any reply comes back.
+        self.sync_actor(node, now, true);
+        self.dispatch(node, out);
+        TxnHandle { client: idx, txn_id: txn }
+    }
+
+    /// Sends messages a harness produced by driving client `idx` directly,
+    /// registering each transaction not seen before as started now, so
+    /// `report` answers for it.
+    pub(crate) fn send_from_client(&mut self, idx: usize, out: Vec<Outgoing>) {
+        let now = self.stage.net.now();
+        for o in &out {
+            let meta = TxnMeta { client: idx, started: now, settled: false };
+            self.stage.txn_meta.entry(o.msg.txn_id()).or_insert(meta);
+        }
+        self.dispatch(NodeId(idx as u32), out);
+    }
+
+    /// Delivers traffic and drives timeouts on the shared scheduler
+    /// ([`sched::settle`]) until every timer and delivery is drained or
+    /// `max_steps` is hit — check `outcome` on the returned report.
+    pub(crate) fn settle(&mut self, max_steps: usize) -> SettleReport {
+        // Full wheel resync, so deadlines armed or mutated outside the event
+        // loop (API calls, harnesses poking actors directly) are picked up.
+        for i in 0..=self.stage.ttp_node.0 {
+            self.refresh_wheel(NodeId(i));
+        }
+        self.stage.refresh_fault_wheel();
+        let report = sched::settle(self, max_steps);
+        // Mirror the cumulative fault counters into the metrics registry so
+        // JSONL/bench output carries them without re-deriving.
+        let f = report.faults;
+        self.obs.metrics.crashes = f.crashes;
+        self.obs.metrics.restarts = f.restarts;
+        self.obs.metrics.retries = f.retries;
+        self.obs.metrics.snapshot_bytes = f.snapshot_bytes;
+        report
+    }
+
+    fn client_index(&self, node: NodeId) -> Option<usize> {
+        let i = node.0 as usize;
+        (i < self.clients.len()).then_some(i)
+    }
+
+    fn actor(&self, node: NodeId) -> Option<&dyn Actor> {
+        if let Some(i) = self.client_index(node) {
+            Some(&self.clients[i])
+        } else if node == self.stage.bob_node {
+            Some(&*self.provider)
+        } else if node == self.stage.ttp_node {
+            Some(&*self.ttp)
+        } else {
+            None
+        }
+    }
+
+    fn actor_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
+        if let Some(i) = self.client_index(node) {
+            Some(&mut self.clients[i])
+        } else if node == self.stage.bob_node {
+            Some(&mut *self.provider)
+        } else if node == self.stage.ttp_node {
+            Some(&mut *self.ttp)
+        } else {
+            None
+        }
+    }
+
+    fn node_by_name(&self, name: &str) -> Option<NodeId> {
+        (0..=self.stage.ttp_node.0).map(NodeId).find(|&n| self.stage.net.node_name(n) == Some(name))
+    }
+
+    /// Re-registers one actor's earliest deadline with the wheel (a down
+    /// actor's timers are frozen, so its entry is cancelled instead).
+    fn refresh_wheel(&mut self, node: NodeId) {
+        let d = if self.stage.is_down(node) {
+            None
+        } else {
+            self.actor(node).and_then(|a| a.next_deadline())
+        };
+        self.stage.wheel.set(node.0 as usize, d);
+    }
+
+    fn dispatch(&mut self, from_node: NodeId, out: Vec<Outgoing>) {
+        for o in out {
+            let Some(&dst) = self.stage.node_of.get(&o.to) else { continue };
+            let txn = o.msg.txn_id();
+            // First wire activity marks the transaction's start (idempotent)
+            // so terminal-state latency is measurable for every entry path.
+            self.obs.note_txn_started(txn, self.stage.net.now());
+            // Encode once into a shared buffer; the transport clones only
+            // the handle from here on (queue, duplicates, inbox).
+            self.stage.net.send_tagged(from_node, dst, o.msg.to_wire_bytes(), Some(txn));
+        }
+    }
+
+    /// Marks the actor at `node` crashed and records the event. The restart
+    /// instant becomes a scheduler timer via [`FaultCtl::next_wakeup`].
+    fn crash_actor(&mut self, node: NodeId, now: SimTime) {
+        let name = self.stage.name(node).to_string();
+        self.stage.faults.crash(&name, now);
+        // The outage is a transport fact: queued copies addressed to the
+        // node drop (and are counted) at their delivery instant.
+        self.stage.net.set_node_down(node, true);
+        // Freeze the crashed actor's armed deadline: its wheel entry dies
+        // with it and is re-registered from the restored snapshot. The
+        // restart instant itself becomes a wheel entry.
+        self.stage.wheel.cancel(node.0 as usize);
+        self.stage.refresh_fault_wheel();
+        self.obs.record(Event { at: now, txn: None, actor: name, kind: EventKind::Crashed });
+    }
+
+    /// Restores a restarted actor from its last synced snapshot.
+    fn restore_actor(&mut self, node: NodeId, now: SimTime) {
+        let Some(snaps) = self.stage.snaps.as_deref() else { return };
+        let bytes = if let Some(i) = self.client_index(node) {
+            self.clients[i].restore(&snaps.clients[i]);
+            snaps.clients[i].bytes()
+        } else if node == self.stage.bob_node {
+            self.provider.restore(&snaps.provider);
+            snaps.provider.bytes()
+        } else {
+            self.ttp.restore(&snaps.ttp);
+            snaps.ttp.bytes()
+        };
+        self.obs.record(Event {
+            at: now,
+            txn: None,
+            actor: self.stage.name(node).to_string(),
+            kind: EventKind::Restarted { snapshot_bytes: bytes },
+        });
+    }
+
+    /// Durably syncs an actor's state if due (or forced — the write-ahead
+    /// path taken before any produced message reaches the wire).
+    fn sync_actor(&mut self, node: NodeId, now: SimTime, force: bool) {
+        let stage = &mut *self.stage;
+        let Some(snaps) = stage.snaps.as_deref_mut() else { return };
+        let name = stage.net.node_name(node).unwrap_or("?");
+        if stage.faults.sync_due(name, now, force) != SyncDecision::Persist {
+            return;
+        }
+        let i = node.0 as usize;
+        let bytes = if i < self.clients.len() {
+            snaps.clients[i] = self.clients[i].snapshot();
+            snaps.clients[i].bytes()
+        } else if node == stage.bob_node {
+            snaps.provider = self.provider.snapshot();
+            snaps.provider.bytes()
+        } else {
+            snaps.ttp = self.ttp.snapshot();
+            snaps.ttp.bytes()
+        };
+        stage.faults.note_snapshot(bytes);
+    }
+
+    /// Records a client-side state transition and, on the first terminal
+    /// transition, funnels the txn through the archive's settled queue —
+    /// possibly evicting the shard's oldest settled txn to the sealed log.
+    fn note_txn_state(&mut self, now: SimTime, idx: usize, txn: u64, st: TxnState) {
+        self.obs.note_state(now, self.stage.name(NodeId(idx as u32)), txn, st);
+        let newly_settled = st.is_terminal()
+            && match self.stage.txn_meta.get_mut(&txn) {
+                Some(meta) if !meta.settled => {
+                    meta.settled = true;
+                    true
+                }
+                _ => false,
+            };
+        if newly_settled {
+            if let Some(victim) = self.stage.archive.note_settled(txn) {
+                self.evict_txn(victim);
+            }
+        }
+    }
+
+    /// Evicts a settled transaction: every layer's live per-txn state
+    /// (client record, provider session record, TTP pending entry, all
+    /// validator replay windows, obs tallies, tagged net counters,
+    /// `txn_meta`) is dropped; the evidence is sealed into the archive's
+    /// shard log and a compact index record keeps `report`/`state`/`result`
+    /// answerable. Validators keep a tombstone, so late replays for the
+    /// txn are refused instead of being handed a fresh window.
+    fn evict_txn(&mut self, txn: u64) {
+        let Some(meta) = self.stage.txn_meta.remove(&txn) else { return };
+        let client = &mut self.clients[meta.client];
+        let state = client.txn_state(txn).unwrap_or(TxnState::Failed);
+        let client_rec = client.evict_txn(txn);
+        let provider_rec = self.provider.evict_txn(txn);
+        self.ttp.evict_txn(txn);
+        let net = self.stage.net.retire_txn(txn);
+        self.obs.retire_txn(txn);
+        let ttp_used = self.stage.ttp_touched.remove(&txn);
+        let mut bundle = EvidenceBundle::new();
+        if let Some(c) = &client_rec {
+            bundle.push("client-nro", c.nro.clone());
+            if let Some(nrr) = &c.nrr {
+                bundle.push("client-nrr", nrr.clone());
+            }
+        }
+        if let Some(p) = &provider_rec {
+            bundle.push("provider-nro", p.nro.clone());
+            bundle.push(
+                "provider-nrr",
+                VerifiedEvidence::from_stored_parts(
+                    p.nrr_plaintext.clone(),
+                    p.nrr_sigs.0.clone(),
+                    p.nrr_sigs.1.clone(),
+                ),
+            );
+        }
+        let rec = ArchivedTxn::record(
+            meta.client,
+            meta.started,
+            state,
+            net.delivered,
+            net.bytes_sent,
+            net.last_delivered_at.since(meta.started),
+            ttp_used,
+        );
+        self.stage.archive.archive(txn, &bundle, rec);
+    }
+}
+
+impl<T: Transport> EventHub for Hub<'_, T> {
+    fn transport(&mut self) -> &mut dyn Transport {
+        &mut self.stage.net
+    }
+
+    fn next_timer(&self) -> Option<SimTime> {
+        // The wheel is the deadline index: actor deadlines and the fault
+        // injector's wakeups (restarts, outage starts) are all entries, so
+        // no actor is polled per step and downtime advances the clock
+        // instead of stalling the loop. A crashed actor's entry is
+        // cancelled with it, freezing its protocol timers until restart.
+        self.stage.wheel.peek()
+    }
+
+    fn fire_timers(&mut self, now: SimTime) -> usize {
+        // Client indices whose transactions may have moved this round —
+        // the state diff below is restricted to them instead of walking
+        // every started txn in the world.
+        let mut touched: Vec<usize> = Vec::new();
+        if self.stage.faults.active() {
+            // Restarts and outage boundaries first: a just-restored actor
+            // ticks in this same round, so an overdue deadline revealed by
+            // the restore produces output immediately (never barren).
+            let ev = self.stage.faults.poll("ttp", now);
+            for name in ev.crashed {
+                if let Some(node) = self.node_by_name(&name) {
+                    self.stage.net.set_node_down(node, true);
+                    self.stage.wheel.cancel(node.0 as usize);
+                }
+                self.obs.record(Event {
+                    at: now,
+                    txn: None,
+                    actor: name,
+                    kind: EventKind::Crashed,
+                });
+            }
+            for name in ev.restarted {
+                // Re-arm from the restored state (the stale pre-crash entry
+                // was cancelled at crash time and can never fire); a
+                // restore can also revert transaction states, so the diff
+                // must cover the restored client.
+                let Some(node) = self.node_by_name(&name) else { continue };
+                self.restore_actor(node, now);
+                self.stage.net.set_node_down(node, false);
+                self.refresh_wheel(node);
+                touched.extend(self.client_index(node));
+            }
+            self.stage.refresh_fault_wheel();
+        }
+        let mut dispatched = 0;
+        let fault_key = self.stage.fault_key();
+        for key in self.stage.wheel.advance(now) {
+            if key == fault_key {
+                continue; // consumed by faults.poll above
+            }
+            let node = NodeId(key as u32);
+            if self.stage.is_down(node) {
+                continue;
+            }
+            let Some(actor) = self.actor_mut(node) else { continue };
+            let out = actor.on_tick(now);
+            self.obs.record(Event {
+                at: now,
+                txn: None,
+                actor: self.stage.name(node).to_string(),
+                kind: EventKind::TimerFired { messages: out.len() },
+            });
+            if !out.is_empty() {
+                // Write-ahead: timer-driven sends (Abort/Resolve) persist
+                // the state they acknowledge before hitting the wire.
+                self.sync_actor(node, now, true);
+            }
+            dispatched += out.len();
+            self.dispatch(node, out);
+            // The tick moved or kept this actor's deadline; re-register it
+            // (a kept overdue deadline re-files as overdue, preserving the
+            // scheduler's barren-masking comparison).
+            self.refresh_wheel(node);
+            touched.extend(self.client_index(node));
+        }
+        if self.stage.faults.active() {
+            self.stage.refresh_fault_wheel();
+        }
+        // Timer rounds move client-visible states (abort/resolve
+        // initiation, failure declarations); diff the touched clients'
+        // txns in txn order so same-instant transitions land
+        // deterministically.
+        touched.sort_unstable();
+        touched.dedup();
+        let mut moved: Vec<(u64, usize)> = Vec::new();
+        for &i in &touched {
+            moved.extend(self.clients[i].txn_ids().into_iter().map(|t| (t, i)));
+        }
+        moved.sort_unstable();
+        for (txn, idx) in moved {
+            if let Some(st) = self.clients[idx].txn_state(txn) {
+                self.note_txn_state(now, idx, txn, st);
+            }
+        }
+        dispatched
+    }
+
+    fn deliver(&mut self, env: Envelope) {
+        let now = self.stage.net.now();
+        if self.stage.is_down(env.dst) {
+            // Same-instant defense in depth: the transport drops queued
+            // copies for a down node at their delivery instant, but a crash
+            // fired in this very settle round can race an already-polled
+            // envelope. The sender's retry machinery is the recovery path.
+            self.stage.faults.note_delivery_lost();
+            return;
+        }
+        let from = self.stage.principal_of[env.src.0 as usize];
+        let msg = match Message::from_wire_bytes(&env.payload) {
+            Ok(m) => m,
+            Err(_) => {
+                // An undecodable payload belongs to whatever transaction
+                // tagged it on the wire — usually none.
+                self.obs.record(Event {
+                    at: now,
+                    txn: env.txn,
+                    actor: self.stage.name(env.dst).to_string(),
+                    kind: EventKind::Garbled { from: self.stage.name(env.src).to_string() },
+                });
+                return;
+            }
+        };
+        let txn_id = msg.txn_id();
+        if env.dst == self.stage.ttp_node {
+            self.stage.ttp_touched.insert(txn_id);
+        }
+        // Prefer the sender's wire tag; adversary injections are untagged
+        // but decode, so fall back to the protocol header's id.
+        let txn = env.txn.or(Some(txn_id));
+        let msg_kind = msg.kind().to_string();
+        let verdict = if self.stage.faults.active() {
+            let stage = &mut *self.stage;
+            stage.faults.delivery_verdict(stage.net.node_name(env.dst).unwrap_or("?"), &msg_kind)
+        } else {
+            DeliveryVerdict::Proceed
+        };
+        if verdict == DeliveryVerdict::CrashBefore {
+            // Crash on receipt: the message is lost before processing.
+            self.crash_actor(env.dst, now);
+            return;
+        }
+        let result = match self.actor_mut(env.dst) {
+            Some(actor) => actor.on_message(from, &msg, now),
+            None => return,
+        };
+        let (actor, sender) = (self.stage.name(env.dst), self.stage.name(env.src));
+        match result {
+            Ok(out) => {
+                self.obs.record(Event {
+                    at: now,
+                    txn,
+                    actor: actor.to_string(),
+                    kind: EventKind::Delivered { from: sender.to_string(), msg: msg_kind },
+                });
+                if let Some(idx) = self.client_index(env.dst) {
+                    if let Some(st) = self.clients[idx].txn_state(txn_id) {
+                        self.note_txn_state(now, idx, txn_id, st);
+                    }
+                }
+                // Write-ahead durable sync: a reply acknowledges state, so
+                // the state hits the snapshot before the reply hits the
+                // wire. Output-less (passive) steps defer to the interval.
+                let force = !out.is_empty() || verdict == DeliveryVerdict::CrashAfter;
+                self.sync_actor(env.dst, now, force);
+                if verdict == DeliveryVerdict::CrashAfter {
+                    // State persisted, replies die with the process.
+                    self.crash_actor(env.dst, now);
+                } else {
+                    self.dispatch(env.dst, out);
+                }
+            }
+            Err(error) => {
+                self.obs.record(Event {
+                    at: now,
+                    txn,
+                    actor: actor.to_string(),
+                    kind: EventKind::Rejected { from: sender.to_string(), msg: msg_kind, error },
+                });
+                if verdict == DeliveryVerdict::CrashAfter {
+                    self.crash_actor(env.dst, now);
+                }
+            }
+        }
+        // The message may have armed, moved, or cleared the recipient's
+        // earliest deadline; keep the wheel authoritative. (Crash paths
+        // already cancelled the entry; refresh on a down actor is a no-op
+        // cancellation.)
+        self.refresh_wheel(env.dst);
+    }
+
+    fn obs_mut(&mut self) -> Option<&mut Obs> {
+        Some(self.obs)
+    }
+
+    fn fault_stats(&self) -> FaultStats {
+        self.stage.fault_counters(self.clients)
+    }
 }
 
 /// N clients sharing one provider and one TTP over a [`Transport`].
@@ -69,10 +734,9 @@ struct MultiSnapshots {
 /// `T` defaults to the deterministic simulator; [`MultiWorld`] is the
 /// `GenericMultiWorld<SimNet>` alias almost all code uses.
 pub struct GenericMultiWorld<T: Transport = SimNet> {
-    /// The wire. Private since the transport redesign: use the typed
-    /// accessors [`GenericMultiWorld::net`] /
-    /// [`GenericMultiWorld::net_mut`].
-    net: T,
+    /// The wire, routing, faults, wheel and archive. The wire is reachable
+    /// through [`GenericMultiWorld::net`] / [`GenericMultiWorld::net_mut`].
+    stage: Stage<T>,
     /// The clients.
     pub clients: Vec<Client>,
     /// The shared provider.
@@ -85,11 +749,6 @@ pub struct GenericMultiWorld<T: Transport = SimNet> {
     pub bob_node: NodeId,
     /// The TTP's simulator node.
     pub ttp_node: NodeId,
-    // Ordered maps: the lint's DET-ORDER rule covers this module, and
-    // iteration over these (dispatch fan-out, diagnostics) must be
-    // deterministic regardless of hash seeding.
-    node_of: BTreeMap<PrincipalId, NodeId>,
-    principal_of: BTreeMap<NodeId, PrincipalId>,
     /// The shared observability sink — same type and semantics as
     /// [`World`](crate::runner::World)'s: every delivery, rejection,
     /// garbled arrival, drop, duplication, timer fire and state transition
@@ -98,23 +757,6 @@ pub struct GenericMultiWorld<T: Transport = SimNet> {
     /// Safety valve against livelock; when hit, settle reports
     /// [`sched::SettleOutcome::StepCapExceeded`].
     pub max_steps: usize,
-    /// Owner/start/settled per started transaction (evicted entries move to
-    /// `archive`).
-    txn_meta: BTreeMap<u64, TxnMeta>,
-    /// Transactions the TTP has seen a message for.
-    ttp_touched: BTreeSet<u64>,
-    /// The fault injector executing `cfg.faults` (inert and overhead-free
-    /// for the default plan).
-    faults: FaultCtl,
-    /// Last synced snapshots; `None` when the fault plan is inert.
-    snaps: Option<Box<MultiSnapshots>>,
-    /// Scheduler-owned deadline index: actors register/cancel deadlines
-    /// here instead of being polled each step (keys: client `i` → `i`,
-    /// bob → `n`, ttp → `n + 1`, fault wakeup → `n + 2`).
-    wheel: TimerWheel,
-    /// Bounded-memory store for settled transactions (sharded by txn-id
-    /// hash; oldest settled txns evicted to sealed evidence logs).
-    archive: TxnArchive,
 }
 
 /// The classic deterministic multi-client world: [`GenericMultiWorld`]
@@ -151,7 +793,7 @@ impl MultiWorld {
 
     /// Sets one link config everywhere.
     pub fn set_all_links(&mut self, cfg: LinkConfig) {
-        self.net.set_default_link(cfg);
+        self.stage.net.set_default_link(cfg);
     }
 
     /// Overrides the bidirectional client ⇄ provider link for client
@@ -159,7 +801,7 @@ impl MultiWorld {
     /// through this, so settle-latency percentiles measure a real
     /// distribution instead of the constant default-link round trip.
     pub fn set_client_provider_link(&mut self, idx: usize, cfg: LinkConfig) {
-        self.net.set_link_bidi(self.client_nodes[idx], self.bob_node, cfg);
+        self.stage.net.set_link_bidi(self.client_nodes[idx], self.bob_node, cfg);
     }
 }
 
@@ -169,26 +811,19 @@ impl<T: Transport> GenericMultiWorld<T> {
     /// simulator shorthand). `seed` derives each actor's RNG exactly as on
     /// the simulator, so backends host byte-identical actor populations.
     pub fn with_principals_on(
-        mut net: T,
+        net: T,
         seed: u64,
         cfg: ProtocolConfig,
         client_principals: &[Principal],
         bob: &Principal,
         ttp_p: &Principal,
     ) -> Self {
-        assert!(!client_principals.is_empty());
         let mut dir = Directory::new();
         dir.register(bob);
         dir.register(ttp_p);
         for c in client_principals {
             dir.register(c);
         }
-
-        let client_nodes: Vec<NodeId> =
-            client_principals.iter().map(|c| net.register(&c.name)).collect();
-        let bob_node = net.register(&bob.name);
-        let ttp_node = net.register(&ttp_p.name);
-
         let clients: Vec<Client> = client_principals
             .iter()
             .enumerate()
@@ -214,111 +849,36 @@ impl<T: Transport> GenericMultiWorld<T> {
             ttp_p.id(),
             ChaChaRng::seed_from_u64(seed ^ 0xb0b),
         );
-        let faults = FaultCtl::new(&cfg.faults);
-        let ttp = Ttp::new(ttp_p.clone(), cfg, dir, ChaChaRng::seed_from_u64(seed ^ 0x777));
-        // Epoch-zero recovery points: a crash before the first sync
-        // restores to the freshly-built actor.
-        let snaps = faults.active().then(|| {
-            Box::new(MultiSnapshots {
-                clients: clients.iter().map(Durable::snapshot).collect(),
-                provider: provider.snapshot(),
-                ttp: ttp.snapshot(),
-            })
-        });
-
-        let mut node_of = BTreeMap::new();
-        node_of.insert(bob.id(), bob_node);
-        node_of.insert(ttp_p.id(), ttp_node);
-        for (p, n) in client_principals.iter().zip(&client_nodes) {
-            node_of.insert(p.id(), *n);
-        }
-        let principal_of = node_of.iter().map(|(p, n)| (*n, *p)).collect();
-
+        let ttp = Ttp::new(ttp_p.clone(), cfg.clone(), dir, ChaChaRng::seed_from_u64(seed ^ 0x777));
+        let actors = (clients.as_slice(), &provider, &ttp);
+        let stage = Stage::new(net, &cfg.faults, client_principals, bob, ttp_p, actors);
         GenericMultiWorld {
-            net,
+            client_nodes: (0..clients.len() as u32).map(NodeId).collect(),
+            bob_node: stage.bob_node,
+            ttp_node: stage.ttp_node,
+            stage,
             clients,
             provider,
             ttp,
-            client_nodes,
-            bob_node,
-            ttp_node,
-            node_of,
-            principal_of,
             obs: Obs::new(),
             max_steps: 100_000,
-            txn_meta: BTreeMap::new(),
-            ttp_touched: BTreeSet::new(),
-            faults,
-            snaps,
-            wheel: TimerWheel::new(),
-            archive: TxnArchive::new(),
         }
+    }
+
+    fn hub(&mut self) -> Hub<'_, T> {
+        self.stage.hub(&mut self.clients, &mut self.provider, &mut self.ttp, &mut self.obs)
     }
 
     /// Borrows the transport backend (typed, so the backend's inherent
     /// API — link knobs, [`SimNet::stats`] — stays reachable).
     pub fn net(&self) -> &T {
-        &self.net
+        &self.stage.net
     }
 
     /// Mutably borrows the transport backend (links, interceptors,
     /// manual sends in attack and test harnesses).
     pub fn net_mut(&mut self) -> &mut T {
-        &mut self.net
-    }
-
-    /// Wheel key for an actor's node. Clients register with the simulator
-    /// first, so `NodeId(i)` *is* client `i`; bob and the TTP follow.
-    fn wheel_key(&self, node: NodeId) -> usize {
-        node.0 as usize
-    }
-
-    /// Wheel key for the fault injector's next wakeup (restart instants and
-    /// outage boundaries are timers like any other).
-    fn fault_wheel_key(&self) -> usize {
-        self.ttp_node.0 as usize + 1
-    }
-
-    fn node_by_name(&self, name: &str) -> Option<NodeId> {
-        self.actor_nodes().into_iter().find(|&n| self.net.node_name(n) == Some(name))
-    }
-
-    /// Re-registers one actor's earliest deadline with the wheel (a down
-    /// actor's timers are frozen, so its entry is cancelled instead).
-    fn refresh_wheel(&mut self, node: NodeId) {
-        let down =
-            self.faults.active() && self.faults.is_down(self.net.node_name(node).unwrap_or("?"));
-        let d = if down { None } else { self.actor(node).and_then(|a| a.next_deadline()) };
-        self.wheel.set(self.wheel_key(node), d);
-    }
-
-    fn refresh_fault_wheel(&mut self) {
-        let w = self.faults.next_wakeup();
-        self.wheel.set(self.fault_wheel_key(), w);
-    }
-
-    /// Full wheel resync from actor state. Run at every settle entry so
-    /// deadlines armed or mutated outside the event loop (API calls, test
-    /// and attack harnesses poking actors directly) are picked up.
-    fn resync_wheel(&mut self) {
-        for node in self.actor_nodes() {
-            self.refresh_wheel(node);
-        }
-        self.refresh_fault_wheel();
-    }
-
-    fn dispatch(&mut self, from_node: NodeId, out: Vec<Outgoing>) {
-        for o in out {
-            if let Some(&dst) = self.node_of.get(&o.to) {
-                let txn = o.msg.txn_id();
-                // First wire activity marks the transaction's start
-                // (idempotent), mirroring `World`.
-                self.obs.note_txn_started(txn, self.net.now());
-                // Encode once into a shared buffer; the simulator clones
-                // only the handle from here on (queue, duplicates, inbox).
-                self.net.send_tagged(from_node, dst, o.msg.to_wire_bytes(), Some(txn));
-            }
-        }
+        &mut self.stage.net
     }
 
     /// Starts an upload from client `idx` without settling (so many
@@ -329,25 +889,10 @@ impl<T: Transport> GenericMultiWorld<T> {
         &mut self,
         idx: usize,
         key: &[u8],
-        data: impl Into<tpnr_net::Bytes>,
+        data: impl Into<Bytes>,
         strategy: TimeoutStrategy,
     ) -> TxnHandle {
-        let now = self.net.now();
-        let (txn, out) = match self.clients[idx].begin_upload(key, data, now, strategy) {
-            Ok(v) => v,
-            Err(e) => return self.failed_initiation(idx, now, e),
-        };
-        self.txn_meta.insert(txn, TxnMeta { client: idx, started: now, settled: false });
-        self.obs.note_state(
-            now,
-            self.net.node_name(self.client_nodes[idx]).unwrap_or("?"),
-            txn,
-            TxnState::Pending,
-        );
-        // Write-ahead: the NRO sealed at initiation must survive a crash.
-        self.sync_actor(self.client_nodes[idx], now, true);
-        self.dispatch(self.client_nodes[idx], out);
-        TxnHandle { client: idx, txn_id: txn }
+        self.hub().start(idx, key, Some(data.into()), strategy)
     }
 
     /// Starts a download from client `idx` without settling. Initiation
@@ -358,88 +903,22 @@ impl<T: Transport> GenericMultiWorld<T> {
         key: &[u8],
         strategy: TimeoutStrategy,
     ) -> TxnHandle {
-        let now = self.net.now();
-        let (txn, out) = match self.clients[idx].begin_download(key, now, strategy) {
-            Ok(v) => v,
-            Err(e) => return self.failed_initiation(idx, now, e),
-        };
-        self.txn_meta.insert(txn, TxnMeta { client: idx, started: now, settled: false });
-        self.obs.note_state(
-            now,
-            self.net.node_name(self.client_nodes[idx]).unwrap_or("?"),
-            txn,
-            TxnState::Pending,
-        );
-        self.sync_actor(self.client_nodes[idx], now, true);
-        self.dispatch(self.client_nodes[idx], out);
-        TxnHandle { client: idx, txn_id: txn }
-    }
-
-    /// Records a client-side initiation failure; returns the sentinel
-    /// handle (`txn_id` 0).
-    fn failed_initiation(&mut self, idx: usize, now: SimTime, error: ValidationError) -> TxnHandle {
-        let name = self.net.node_name(self.client_nodes[idx]).unwrap_or("?").to_string();
-        self.obs.record(Event {
-            at: now,
-            txn: None,
-            actor: name.clone(),
-            kind: EventKind::Rejected { from: name, msg: "Transfer".to_string(), error },
-        });
-        TxnHandle { client: idx, txn_id: 0 }
-    }
-
-    fn client_index(&self, node: NodeId) -> Option<usize> {
-        self.client_nodes.iter().position(|&n| n == node)
-    }
-
-    fn actor_nodes(&self) -> Vec<NodeId> {
-        let mut nodes = self.client_nodes.clone();
-        nodes.push(self.bob_node);
-        nodes.push(self.ttp_node);
-        nodes
-    }
-
-    fn actor(&self, node: NodeId) -> Option<&dyn Actor> {
-        if node == self.bob_node {
-            Some(&self.provider)
-        } else if node == self.ttp_node {
-            Some(&self.ttp)
-        } else {
-            self.client_index(node).map(|i| &self.clients[i] as &dyn Actor)
-        }
-    }
-
-    fn actor_mut(&mut self, node: NodeId) -> Option<&mut dyn Actor> {
-        if node == self.bob_node {
-            Some(&mut self.provider)
-        } else if node == self.ttp_node {
-            Some(&mut self.ttp)
-        } else {
-            self.client_index(node).map(move |i| &mut self.clients[i] as &mut dyn Actor)
-        }
+        self.hub().start(idx, key, None, strategy)
     }
 
     /// Delivers traffic and drives timeouts on the shared scheduler
     /// ([`sched::settle`]) until every timer and delivery is drained or
     /// `max_steps` is hit — check `outcome` on the returned report.
     pub fn settle(&mut self) -> SettleReport {
-        self.resync_wheel();
         let max_steps = self.max_steps;
-        let report = sched::settle(self, max_steps);
-        // Mirror the cumulative fault counters into the metrics registry.
-        let f = report.faults;
-        self.obs.metrics.crashes = f.crashes;
-        self.obs.metrics.restarts = f.restarts;
-        self.obs.metrics.retries = f.retries;
-        self.obs.metrics.snapshot_bytes = f.snapshot_bytes;
-        report
+        self.hub().settle(max_steps)
     }
 
     /// Final state of a client's transaction (live or archived).
     pub fn state(&self, client: usize, txn: u64) -> Option<TxnState> {
         self.clients[client]
             .txn_state(txn)
-            .or_else(|| self.archive.get(txn).filter(|r| r.client == client).map(|r| r.state))
+            .or_else(|| self.stage.archive.get(txn).filter(|r| r.client == client).map(|r| r.state))
     }
 
     /// Final state of a handled transaction (live or archived).
@@ -453,466 +932,44 @@ impl<T: Transport> GenericMultiWorld<T> {
     /// handle or unknown ids. Mirrors [`World::run`](crate::runner::World)'s
     /// return shape.
     pub fn result(&self, h: TxnHandle) -> Option<TxnResult> {
-        let report = self.report(h.txn_id)?;
-        let c = self.clients.get(h.client)?;
-        if let Some(t) = c.txn(h.txn_id) {
-            return Some(TxnResult {
-                txn_id: h.txn_id,
-                outcome: report.state,
-                data: c.download_result(h.txn_id).map(|p| p.data.clone()),
-                nro: Some(t.nro.clone()),
-                nrr: t.nrr.clone(),
-                report,
-            });
-        }
-        // Evicted: re-hydrate the sealed evidence from the archive log (the
-        // downloaded payload is gone — the provider's storage holds the
-        // service copy, evidence is what survives for arbitration).
-        let bundle = self.archive.load_bundle(h.txn_id)?;
-        Some(TxnResult {
-            txn_id: h.txn_id,
-            outcome: report.state,
-            data: None,
-            nro: bundle.get("client-nro").cloned(),
-            nrr: bundle.get("client-nrr").cloned(),
-            report,
-        })
+        self.stage.result(&self.clients, h)
     }
 
     /// Archive behaviour counters (evictions, re-hydrations, resident
     /// settled txns, sealed log bytes).
     pub fn archive_stats(&self) -> ArchiveStats {
-        self.archive.stats()
+        self.stage.archive.stats()
     }
 
     /// Live per-transaction bookkeeping entries (the bounded-memory
     /// regression hook: settled txns leave this map when evicted).
     pub fn resident_txns(&self) -> usize {
-        self.txn_meta.len()
+        self.stage.txn_meta.len()
     }
 
     /// Re-hydrates an evicted transaction's archived evidence bundle.
     pub fn rehydrate_evidence(&self, txn: u64) -> Option<EvidenceBundle> {
-        self.archive.load_bundle(txn)
+        self.stage.archive.load_bundle(txn)
     }
 
     /// Sets the archive's per-shard hot capacity (tests lower it to force
     /// eviction; experiments tune resident memory).
     pub fn set_archive_capacity(&mut self, hot_capacity: usize) {
-        self.archive.set_hot_capacity(hot_capacity);
+        self.stage.archive.set_hot_capacity(hot_capacity);
     }
 
     /// Cumulative fault counters: the injector's own plus every client's
     /// retry machinery (which lives outside snapshots so it never resets).
     pub fn fault_counters(&self) -> FaultStats {
-        let mut f = self.faults.stats;
-        for c in &self.clients {
-            f.retries += c.retry_stats.retries;
-            f.gave_up += c.retry_stats.gave_up;
-        }
-        f
+        self.stage.fault_counters(&self.clients)
     }
 
-    /// Marks the actor at `node` crashed and records the event.
-    fn crash_actor(&mut self, node: NodeId, now: SimTime) {
-        let name = self.net.node_name(node).unwrap_or("?").to_string();
-        self.faults.crash(&name, now);
-        // The outage is a transport fact: queued copies addressed to the
-        // node drop (and are counted) at their delivery instant.
-        self.net.set_node_down(node, true);
-        // Freeze the crashed actor's armed deadline: its wheel entry dies
-        // with it and is re-registered from the restored snapshot. The
-        // restart instant itself becomes a wheel entry.
-        self.wheel.cancel(self.wheel_key(node));
-        self.refresh_fault_wheel();
-        self.obs.record(Event { at: now, txn: None, actor: name, kind: EventKind::Crashed });
-    }
-
-    /// Records a client-side state transition and, on the first terminal
-    /// transition, funnels the txn through the archive's settled queue —
-    /// possibly evicting the shard's oldest settled txn to the sealed log.
-    fn note_txn_state(&mut self, now: SimTime, idx: usize, txn: u64, st: TxnState) {
-        self.obs.note_state(
-            now,
-            self.net.node_name(self.client_nodes[idx]).unwrap_or("?"),
-            txn,
-            st,
-        );
-        let newly_settled = st.is_terminal()
-            && match self.txn_meta.get_mut(&txn) {
-                Some(meta) if !meta.settled => {
-                    meta.settled = true;
-                    true
-                }
-                _ => false,
-            };
-        if newly_settled {
-            if let Some(victim) = self.archive.note_settled(txn) {
-                self.evict_txn(victim);
-            }
-        }
-    }
-
-    /// Evicts a settled transaction: every layer's live per-txn state
-    /// (client record, provider session record, TTP pending entry, all
-    /// validator replay windows, obs tallies, tagged net counters,
-    /// `txn_meta`) is dropped; the evidence is sealed into the archive's
-    /// shard log and a compact index record keeps `report`/`state`/`result`
-    /// answerable. Validators keep a tombstone, so late replays for the
-    /// txn are refused instead of being handed a fresh window.
-    fn evict_txn(&mut self, txn: u64) {
-        let Some(meta) = self.txn_meta.remove(&txn) else { return };
-        let idx = meta.client;
-        let state = self.clients[idx].txn_state(txn).unwrap_or(TxnState::Failed);
-        let client_rec = self.clients[idx].evict_txn(txn);
-        let provider_rec = self.provider.evict_txn(txn);
-        self.ttp.evict_txn(txn);
-        let net = self.net.retire_txn(txn);
-        self.obs.retire_txn(txn);
-        let ttp_used = self.ttp_touched.remove(&txn);
-        let mut bundle = EvidenceBundle::new();
-        if let Some(c) = &client_rec {
-            bundle.push("client-nro", c.nro.clone());
-            if let Some(nrr) = &c.nrr {
-                bundle.push("client-nrr", nrr.clone());
-            }
-        }
-        if let Some(p) = &provider_rec {
-            bundle.push("provider-nro", p.nro.clone());
-            bundle.push(
-                "provider-nrr",
-                VerifiedEvidence::from_stored_parts(
-                    p.nrr_plaintext.clone(),
-                    p.nrr_sigs.0.clone(),
-                    p.nrr_sigs.1.clone(),
-                ),
-            );
-        }
-        let rec = ArchivedTxn::record(
-            idx,
-            meta.started,
-            state,
-            net.delivered,
-            net.bytes_sent,
-            net.last_delivered_at.since(meta.started),
-            ttp_used,
-        );
-        self.archive.archive(txn, &bundle, rec);
-    }
-
-    /// Restores a restarted actor (by display name) from its last synced
-    /// snapshot.
-    fn restore_actor(&mut self, name: &str, now: SimTime) {
-        let Some(snaps) = self.snaps.take() else { return };
-        let bytes = if name == "bob" {
-            self.provider.restore(&snaps.provider);
-            snaps.provider.bytes()
-        } else if name == "ttp" {
-            self.ttp.restore(&snaps.ttp);
-            snaps.ttp.bytes()
-        } else {
-            match self.client_nodes.iter().position(|&n| self.net.node_name(n) == Some(name)) {
-                Some(i) => {
-                    self.clients[i].restore(&snaps.clients[i]);
-                    snaps.clients[i].bytes()
-                }
-                None => {
-                    self.snaps = Some(snaps);
-                    return;
-                }
-            }
-        };
-        self.snaps = Some(snaps);
-        self.obs.record(Event {
-            at: now,
-            txn: None,
-            actor: name.to_string(),
-            kind: EventKind::Restarted { snapshot_bytes: bytes },
-        });
-    }
-
-    /// Durably syncs an actor's state if due (or forced — the write-ahead
-    /// path taken before any produced message reaches the wire).
-    fn sync_actor(&mut self, node: NodeId, now: SimTime, force: bool) {
-        if self.snaps.is_none() {
-            return;
-        }
-        let name = self.net.node_name(node).unwrap_or("?").to_string();
-        match self.faults.sync_due(&name, now, force) {
-            SyncDecision::Skip | SyncDecision::FailedWrite => {}
-            SyncDecision::Persist => {
-                let Some(snaps) = self.snaps.as_mut() else { return };
-                let bytes = if node == self.bob_node {
-                    let s = self.provider.snapshot();
-                    let b = s.bytes();
-                    snaps.provider = s;
-                    b
-                } else if node == self.ttp_node {
-                    let s = self.ttp.snapshot();
-                    let b = s.bytes();
-                    snaps.ttp = s;
-                    b
-                } else {
-                    let Some(i) = self.client_nodes.iter().position(|&n| n == node) else {
-                        return;
-                    };
-                    let s = self.clients[i].snapshot();
-                    let b = s.bytes();
-                    snaps.clients[i] = s;
-                    b
-                };
-                self.faults.note_snapshot(bytes);
-            }
-        }
-    }
-
-    /// Exact per-transaction report from the simulator's tagged traffic
+    /// Exact per-transaction report from the transport's tagged traffic
     /// counters; `None` for unknown transaction ids. Latency runs from
     /// initiation to the transaction's own last delivery (other sessions
     /// may keep the shared clock running long after this one settled).
     pub fn report(&self, txn: u64) -> Option<TxnReport> {
-        if let Some(meta) = self.txn_meta.get(&txn) {
-            let t = self.net.txn_stats(txn);
-            return Some(TxnReport {
-                txn_id: txn,
-                state: self.clients[meta.client].txn_state(txn)?,
-                messages: t.delivered,
-                bytes: t.bytes_sent,
-                latency: t.last_delivered_at.since(meta.started),
-                ttp_used: self.ttp_touched.contains(&txn),
-            });
-        }
-        // Evicted: the index record froze the final accounting.
-        let rec = self.archive.get(txn)?;
-        Some(TxnReport {
-            txn_id: txn,
-            state: rec.state,
-            messages: rec.messages,
-            bytes: rec.bytes,
-            latency: rec.latency,
-            ttp_used: rec.ttp_used,
-        })
-    }
-}
-
-impl<T: Transport> EventHub for GenericMultiWorld<T> {
-    fn transport(&mut self) -> &mut dyn Transport {
-        &mut self.net
-    }
-
-    fn next_timer(&self) -> Option<SimTime> {
-        // The wheel is the deadline index: actor deadlines and the fault
-        // injector's wakeups (restarts, outage starts) are all entries, so
-        // no actor is polled per step and downtime advances the clock
-        // instead of stalling the loop. A crashed actor's entry is
-        // cancelled with it, freezing its protocol timers until restart.
-        self.wheel.peek()
-    }
-
-    fn fire_timers(&mut self, now: SimTime) -> usize {
-        // Client indices whose transactions may have moved this round —
-        // the state diff below is restricted to them instead of walking
-        // every started txn in the world (the O(total-txns)-per-round scan
-        // this wheel refactor retires).
-        let mut touched: Vec<usize> = Vec::new();
-        if self.faults.active() {
-            // Restarts and outage boundaries first: a just-restored actor
-            // ticks in this same round, so an overdue deadline revealed by
-            // the restore produces output immediately (never barren).
-            let ev = self.faults.poll("ttp", now);
-            for name in ev.crashed {
-                if let Some(node) = self.node_by_name(&name) {
-                    self.net.set_node_down(node, true);
-                    self.wheel.cancel(self.wheel_key(node));
-                }
-                self.obs.record(Event {
-                    at: now,
-                    txn: None,
-                    actor: name,
-                    kind: EventKind::Crashed,
-                });
-            }
-            for name in ev.restarted {
-                self.restore_actor(&name, now);
-                // Re-arm from the restored state (the stale pre-crash entry
-                // was cancelled at crash time and can never fire); a
-                // restore can also revert transaction states, so the diff
-                // must cover the restored client.
-                if let Some(node) = self.node_by_name(&name) {
-                    self.net.set_node_down(node, false);
-                    self.refresh_wheel(node);
-                    if let Some(i) = self.client_index(node) {
-                        touched.push(i);
-                    }
-                }
-            }
-            self.refresh_fault_wheel();
-        }
-        let mut dispatched = 0;
-        let nodes = self.actor_nodes();
-        let fault_key = self.fault_wheel_key();
-        for key in self.wheel.advance(now) {
-            if key == fault_key {
-                continue; // consumed by faults.poll above
-            }
-            let node = nodes[key];
-            if self.faults.active() && self.faults.is_down(self.net.node_name(node).unwrap_or("?"))
-            {
-                continue;
-            }
-            let Some(actor) = self.actor_mut(node) else { continue };
-            let out = actor.on_tick(now);
-            self.obs.record(Event {
-                at: now,
-                txn: None,
-                actor: self.net.node_name(node).unwrap_or("?").to_string(),
-                kind: EventKind::TimerFired { messages: out.len() },
-            });
-            if !out.is_empty() {
-                // Write-ahead: timer-driven sends persist the state they
-                // acknowledge before hitting the wire.
-                self.sync_actor(node, now, true);
-            }
-            dispatched += out.len();
-            self.dispatch(node, out);
-            // The tick moved or kept this actor's deadline; re-register it
-            // (a kept overdue deadline re-files as overdue, preserving the
-            // scheduler's barren-masking comparison).
-            self.refresh_wheel(node);
-            if let Some(i) = self.client_index(node) {
-                touched.push(i);
-            }
-        }
-        if self.faults.active() {
-            self.refresh_fault_wheel();
-        }
-        // Timer rounds move client-visible states (abort/resolve
-        // initiation, failure declarations); diff the touched clients'
-        // txns in txn order so same-instant transitions land
-        // deterministically.
-        touched.sort_unstable();
-        touched.dedup();
-        let mut moved: Vec<(u64, usize)> = Vec::new();
-        for &i in &touched {
-            moved.extend(self.clients[i].txn_ids().into_iter().map(|t| (t, i)));
-        }
-        moved.sort_unstable();
-        for (txn, idx) in moved {
-            if let Some(st) = self.clients[idx].txn_state(txn) {
-                self.note_txn_state(now, idx, txn, st);
-            }
-        }
-        dispatched
-    }
-
-    fn deliver(&mut self, env: Envelope) {
-        let now = self.net.now();
-        let from = self.principal_of[&env.src];
-        if self.faults.active() && self.faults.is_down(self.net.node_name(env.dst).unwrap_or("?")) {
-            // The recipient is crashed: the message evaporates. The
-            // sender's retry machinery is the recovery path.
-            self.faults.note_delivery_lost();
-            return;
-        }
-        let msg = match Message::from_wire_bytes(&env.payload) {
-            Ok(m) => m,
-            Err(_) => {
-                // Used to be a bare `return`: garbled arrivals were
-                // invisible. Record them, attributed only by wire tag.
-                let ev = Event {
-                    at: now,
-                    txn: env.txn,
-                    actor: self.net.node_name(env.dst).unwrap_or("?").to_string(),
-                    kind: EventKind::Garbled {
-                        from: self.net.node_name(env.src).unwrap_or("?").to_string(),
-                    },
-                };
-                self.obs.record(ev);
-                return;
-            }
-        };
-        let txn_id = msg.txn_id();
-        if env.dst == self.ttp_node {
-            self.ttp_touched.insert(txn_id);
-        }
-        // Prefer the sender's wire tag; adversary injections are untagged
-        // but decode, so fall back to the protocol header's id.
-        let txn = env.txn.or(Some(txn_id));
-        let msg_kind = msg.kind().to_string();
-        let verdict = if self.faults.active() {
-            let actor_name = self.net.node_name(env.dst).unwrap_or("?").to_string();
-            self.faults.delivery_verdict(&actor_name, &msg_kind)
-        } else {
-            DeliveryVerdict::Proceed
-        };
-        if verdict == DeliveryVerdict::CrashBefore {
-            // Crash on receipt: the message is lost before processing.
-            self.crash_actor(env.dst, now);
-            return;
-        }
-        let result = match self.actor_mut(env.dst) {
-            Some(actor) => actor.on_message(from, &msg, now),
-            None => return,
-        };
-        match result {
-            Ok(out) => {
-                let ev = Event {
-                    at: now,
-                    txn,
-                    actor: self.net.node_name(env.dst).unwrap_or("?").to_string(),
-                    kind: EventKind::Delivered {
-                        from: self.net.node_name(env.src).unwrap_or("?").to_string(),
-                        msg: msg_kind,
-                    },
-                };
-                self.obs.record(ev);
-                if let Some(idx) = self.client_index(env.dst) {
-                    if let Some(st) = self.clients[idx].txn_state(txn_id) {
-                        self.note_txn_state(now, idx, txn_id, st);
-                    }
-                }
-                // Write-ahead durable sync before any reply hits the wire.
-                let force = !out.is_empty() || verdict == DeliveryVerdict::CrashAfter;
-                self.sync_actor(env.dst, now, force);
-                if verdict == DeliveryVerdict::CrashAfter {
-                    // State persisted, replies die with the process.
-                    self.crash_actor(env.dst, now);
-                } else {
-                    self.dispatch(env.dst, out);
-                }
-            }
-            Err(error) => {
-                // Used to be `unwrap_or_default()`: validation rejections
-                // vanished. Record the event and its variant counter.
-                let ev = Event {
-                    at: now,
-                    txn,
-                    actor: self.net.node_name(env.dst).unwrap_or("?").to_string(),
-                    kind: EventKind::Rejected {
-                        from: self.net.node_name(env.src).unwrap_or("?").to_string(),
-                        msg: msg_kind,
-                        error,
-                    },
-                };
-                self.obs.record(ev);
-                if verdict == DeliveryVerdict::CrashAfter {
-                    self.crash_actor(env.dst, now);
-                }
-            }
-        }
-        // The message may have armed, moved, or cleared the recipient's
-        // earliest deadline; keep the wheel authoritative. (Crash paths
-        // already cancelled the entry; refresh on a down actor is a no-op
-        // cancellation.)
-        self.refresh_wheel(env.dst);
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut Obs> {
-        Some(&mut self.obs)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.fault_counters()
+        self.stage.report(&self.clients, txn)
     }
 }
 
@@ -984,20 +1041,20 @@ mod tests {
             .collect();
         let s = w.settle();
         assert_eq!(s.outcome, SettleOutcome::Quiescent);
-        assert_eq!(w.net.tagged_txns().len(), txns.len());
+        assert_eq!(w.stage.net.tagged_txns().len(), txns.len());
         let (mut sent, mut bytes, mut delivered, mut dropped) = (0, 0, 0, 0);
         for &txn in &txns {
-            let t = w.net.txn_stats(txn);
+            let t = w.stage.net.txn_stats(txn);
             sent += t.sent;
             bytes += t.bytes_sent;
             delivered += t.delivered;
             dropped += t.dropped;
         }
-        assert_eq!(sent, w.net.stats.sent);
-        assert_eq!(bytes, w.net.stats.bytes_sent);
-        assert_eq!(dropped, w.net.stats.dropped);
+        assert_eq!(sent, w.stage.net.stats.sent);
+        assert_eq!(bytes, w.stage.net.stats.bytes_sent);
+        assert_eq!(dropped, w.stage.net.stats.dropped);
         // Deliveries include duplicate copies on both sides of the ledger.
-        assert_eq!(delivered, w.net.stats.delivered);
+        assert_eq!(delivered, w.stage.net.stats.delivered);
         assert_eq!(
             delivered,
             txns.iter().map(|&t| w.report(t).unwrap().messages).sum::<u64>(),
@@ -1033,7 +1090,7 @@ mod tests {
             assert!(r.messages >= 2, "client {} settled in {} messages", h.client, r.messages);
             delivered_sum += r.messages;
         }
-        assert_eq!(delivered_sum, w.net.stats.delivered, "exact partition of deliveries");
+        assert_eq!(delivered_sum, w.stage.net.stats.delivered, "exact partition of deliveries");
     }
 
     #[test]
@@ -1097,7 +1154,7 @@ mod tests {
         // Only client 0's return path is broken.
         let c0 = w.client_nodes[0];
         let bob = w.bob_node;
-        w.net.set_link(bob, c0, LinkConfig { drop_prob: 1.0, ..Default::default() });
+        w.stage.net.set_link(bob, c0, LinkConfig { drop_prob: 1.0, ..Default::default() });
         let mut txns = Vec::new();
         for i in 0..4 {
             let key = format!("k{i}").into_bytes();
@@ -1138,10 +1195,10 @@ mod tests {
         // All traffic here is tagged and decodable, so accepted + rejected
         // events account for every delivery, and the drop/duplication
         // ledgers agree with the simulator.
-        assert_eq!(m.delivered + m.rejected, w.net.stats.delivered);
+        assert_eq!(m.delivered + m.rejected, w.stage.net.stats.delivered);
         assert_eq!(m.garbled, 0);
-        assert_eq!(m.dropped, w.net.stats.dropped);
-        assert_eq!(m.duplicated, w.net.stats.duplicated);
+        assert_eq!(m.dropped, w.stage.net.stats.dropped);
+        assert_eq!(m.duplicated, w.stage.net.stats.duplicated);
         assert!(m.rejected > 0, "duplicate copies must surface as rejections");
         assert_eq!(m.rejected_by.values().sum::<u64>(), m.rejected);
         assert!(m.rejected_by.contains_key("stale-sequence"), "{:?}", m.rejected_by);
@@ -1149,7 +1206,7 @@ mod tests {
         let (mut acc, mut rej, mut drp, mut dup) = (0, 0, 0, 0);
         for &txn in &txns {
             let o = w.obs.txn(txn);
-            let t = w.net.txn_stats(txn);
+            let t = w.stage.net.txn_stats(txn);
             assert_eq!(o.inbox_total(), t.delivered, "txn {txn}");
             assert_eq!(o.dropped, t.dropped, "txn {txn}");
             assert_eq!(o.duplicated, t.duplicated, "txn {txn}");
@@ -1181,7 +1238,7 @@ mod tests {
         // Wiretap client 0's traffic so we can replay a real capture.
         let tape: Arc<Mutex<Vec<Vec<u8>>>> = Arc::default();
         let tap = tape.clone();
-        w.net.set_interceptor(Box::new(move |src, dst, payload: &[u8], _t| {
+        w.stage.net.set_interceptor(Box::new(move |src, dst, payload: &[u8], _t| {
             if src == c0 && dst == bob {
                 tap.lock().unwrap().push(payload.to_vec());
             }
@@ -1190,11 +1247,11 @@ mod tests {
         let t0 = w.start_upload(0, b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
         w.settle();
         assert_eq!(w.state_of(t0), Some(TxnState::Completed));
-        w.net.clear_interceptor();
+        w.stage.net.clear_interceptor();
 
         // Undecodable flood towards the provider: visible, unattributed.
         for _ in 0..3 {
-            w.net.send(w.client_nodes[1], bob, b"garbage".to_vec());
+            w.stage.net.send(w.client_nodes[1], bob, b"garbage".to_vec());
         }
         w.settle();
         assert_eq!(w.obs.metrics.garbled, 3);
@@ -1207,7 +1264,7 @@ mod tests {
         // its variant and attributed to the session it replays into, even
         // though the replay itself is untagged on the wire.
         let replay = tape.lock().unwrap()[0].clone();
-        w.net.send(c0, bob, replay);
+        w.stage.net.send(c0, bob, replay);
         w.settle();
         assert_eq!(w.obs.metrics.rejected, 1);
         assert_eq!(w.obs.metrics.rejected_by.get("stale-sequence"), Some(&1));
@@ -1309,22 +1366,18 @@ mod tests {
         // actor on its own — the crash below is injected by hand.
         cfg.faults = cfg.faults.clone().with_chaos(&["absent-actor"], 1, 1);
         let mut w = MultiWorld::new(10, ProtocolConfig::full(), 2);
-        w.faults = FaultCtl::new(&cfg.faults);
-        w.snaps = None; // re-arm snapshots below, post-initiation
-                        // Break bob → client-0 so client 0's response timer must fire.
+        w.stage.faults = FaultCtl::new(&cfg.faults);
+        w.stage.snaps = None; // re-arm snapshots below, post-initiation
+                              // Break bob → client-0 so client 0's response timer must fire.
         let (c0, bob) = (w.client_nodes[0], w.bob_node);
-        w.net.set_link(bob, c0, LinkConfig { drop_prob: 1.0, ..Default::default() });
+        w.stage.net.set_link(bob, c0, LinkConfig { drop_prob: 1.0, ..Default::default() });
         let h0 = w.start_upload(0, b"k0", b"data".to_vec(), TimeoutStrategy::ResolveImmediately);
         let h1 = w.start_upload(1, b"k1", b"data".to_vec(), TimeoutStrategy::AbortFirst);
         // Recovery points carry the armed transactions.
-        w.snaps = Some(Box::new(MultiSnapshots {
-            clients: w.clients.iter().map(Durable::snapshot).collect(),
-            provider: w.provider.snapshot(),
-            ttp: w.ttp.snapshot(),
-        }));
+        w.stage.snaps = Some(Snapshots::take(&w.clients, &w.provider, &w.ttp));
         // Crash client 0 *between* timer-arm and fire.
-        let now = w.net.now();
-        w.crash_actor(c0, now);
+        let now = w.stage.net.now();
+        w.hub().crash_actor(c0, now);
         let s = w.settle();
         assert_eq!(s.outcome, SettleOutcome::Quiescent);
         // No timer fired for client-0 while it was down: every TimerFired

@@ -10,30 +10,32 @@
 //! The world is generic over its [`Transport`] backend — the same
 //! protocol code runs on the deterministic simulator ([`World`] =
 //! `GenericWorld<SimNet>`), the in-process channel, and loopback TCP
-//! (experiment E14) with zero per-backend branches.
+//! (experiment E14) with zero per-backend branches. It has no event loop
+//! of its own: it drives [`multi`](crate::multi)'s loop with a one-client
+//! slice, so routing, faults, the timer wheel and the settled-transaction
+//! archive behave exactly as in [`MultiWorld`](crate::multi::MultiWorld).
 
 use crate::client::{Client, TimeoutStrategy};
 use crate::config::ProtocolConfig;
 use crate::evidence::VerifiedEvidence;
-use crate::fault::{DeliveryVerdict, Durable, FaultCtl, FaultStats, SyncDecision};
-use crate::message::Message;
-use crate::obs::{Event, EventKind, Obs};
-use crate::principal::{Directory, Principal, PrincipalId};
+use crate::fault::FaultStats;
+use crate::multi::{Hub, Stage, TxnHandle};
+use crate::obs::Obs;
+use crate::principal::{Directory, Principal};
 use crate::provider::Provider;
-use crate::sched::{self, Actor, EventHub, SettleReport, TimerWheel};
+use crate::sched::SettleReport;
 use crate::session::{Outgoing, TxnState};
 use crate::ttp::Ttp;
-use std::collections::{HashMap, HashSet};
+use std::slice;
 use tpnr_crypto::ChaChaRng;
-use tpnr_net::codec::Wire;
-use tpnr_net::sim::{Envelope, LinkConfig, NodeId, SimNet};
-use tpnr_net::time::SimTime;
+use tpnr_net::sim::{LinkConfig, NodeId, SimNet};
+use tpnr_net::time::SimDuration;
 use tpnr_net::transport::Transport;
 use tpnr_net::Bytes;
 
 /// Per-transaction outcome report.
 ///
-/// Counts come from the simulator's per-transaction tagged stats
+/// Counts come from the transport's per-transaction tagged stats
 /// ([`SimNet::txn_stats`]), so they are exact even when many transactions
 /// interleave on the same network — not before/after deltas of global
 /// counters.
@@ -49,7 +51,7 @@ pub struct TxnReport {
     /// Bytes sent on the wire for this transaction.
     pub bytes: u64,
     /// Wall-clock (simulated) duration from initiation to settlement.
-    pub latency: tpnr_net::time::SimDuration,
+    pub latency: SimDuration,
     /// Whether the TTP handled any message of this transaction.
     pub ttp_used: bool,
 }
@@ -130,14 +132,6 @@ impl TxnResult {
     }
 }
 
-/// Last synced durable images of the three actors (the crash recovery
-/// points). Allocated only when the fault plan can actually inject.
-struct WorldSnapshots {
-    client: crate::client::ClientSnapshot,
-    provider: crate::provider::ProviderSnapshot,
-    ttp: crate::ttp::TtpSnapshot,
-}
-
 /// The assembled world: three actors on a [`Transport`] backend.
 ///
 /// `T` defaults to the deterministic simulator; [`World`] is the
@@ -146,11 +140,12 @@ struct WorldSnapshots {
 /// `T` for [`tpnr_net::ChannelNet`] or [`tpnr_net::TcpNet`] changes the
 /// wire, never the protocol.
 pub struct GenericWorld<T: Transport = SimNet> {
-    /// The wire. Private since the transport redesign: use the typed
-    /// accessors [`GenericWorld::net`] / [`GenericWorld::net_mut`], which
-    /// keep the backend's full inherent API (links, interceptors)
-    /// reachable without freezing the field layout into the public API.
-    net: T,
+    /// The wire, routing, faults, wheel and archive. The wire is reachable
+    /// through the typed accessors [`GenericWorld::net`] /
+    /// [`GenericWorld::net_mut`], which keep the backend's full inherent
+    /// API (links, interceptors) without freezing the layout into the
+    /// public API.
+    stage: Stage<T>,
     /// Alice.
     pub client: Client,
     /// Bob.
@@ -163,9 +158,6 @@ pub struct GenericWorld<T: Transport = SimNet> {
     pub bob_node: NodeId,
     /// TTP's node.
     pub ttp_node: NodeId,
-    node_of: HashMap<PrincipalId, NodeId>,
-    principal_of: HashMap<NodeId, PrincipalId>,
-    name_of: HashMap<NodeId, &'static str>,
     /// The authenticated key directory shared by all honest parties
     /// (exposed for arbitration and attack harnesses).
     pub dir: Directory,
@@ -175,20 +167,9 @@ pub struct GenericWorld<T: Transport = SimNet> {
     /// semantics as [`MultiWorld`](crate::multi::MultiWorld)'s.
     pub obs: Obs,
     /// Safety valve against livelock in adversarial runs; when hit, settle
-    /// reports [`sched::SettleOutcome::StepCapExceeded`] instead of
-    /// silently stopping.
+    /// reports [`SettleOutcome::StepCapExceeded`](crate::sched::SettleOutcome)
+    /// instead of silently stopping.
     pub max_steps: usize,
-    /// Transactions the TTP has seen a message for.
-    ttp_touched: HashSet<u64>,
-    /// The fault injector executing `cfg.faults` (inert and overhead-free
-    /// for the default plan).
-    faults: FaultCtl,
-    /// Last synced snapshots; `None` when the fault plan is inert.
-    snaps: Option<Box<WorldSnapshots>>,
-    /// Scheduler-owned deadline index: actors register/cancel deadlines
-    /// here instead of being polled each step (keys: alice 0, bob 1,
-    /// ttp 2, fault wakeup [`GenericWorld::FAULT_WHEEL_KEY`]).
-    wheel: TimerWheel,
 }
 
 /// The classic deterministic world: [`GenericWorld`] over [`SimNet`].
@@ -203,7 +184,7 @@ impl World {
 
     /// Configures every link with the same parameters (RTT sweeps).
     pub fn set_all_links(&mut self, cfg: LinkConfig) {
-        self.net.set_default_link(cfg);
+        self.stage.net.set_default_link(cfg);
     }
 }
 
@@ -212,7 +193,7 @@ impl<T: Transport> GenericWorld<T> {
     /// derives the principals' keys and each actor's RNG exactly as
     /// [`World::new`] does, so two backends given the same seed host
     /// byte-identical principals.
-    pub fn with_transport(mut net: T, seed: u64, cfg: ProtocolConfig) -> Self {
+    pub fn with_transport(net: T, seed: u64, cfg: ProtocolConfig) -> Self {
         let alice = Principal::test("alice", seed.wrapping_mul(3).wrapping_add(1));
         let bob = Principal::test("bob", seed.wrapping_mul(3).wrapping_add(2));
         let ttp_p = Principal::test("ttp", seed.wrapping_mul(3).wrapping_add(3));
@@ -220,10 +201,6 @@ impl<T: Transport> GenericWorld<T> {
         dir.register(&alice);
         dir.register(&bob);
         dir.register(&ttp_p);
-
-        let alice_node = net.register("alice");
-        let bob_node = net.register("bob");
-        let ttp_node = net.register("ttp");
 
         let client = Client::new(
             alice.clone(),
@@ -240,161 +217,59 @@ impl<T: Transport> GenericWorld<T> {
             ttp_p.id(),
             ChaChaRng::seed_from_u64(seed ^ 0xb0b),
         );
-        let faults = FaultCtl::new(&cfg.faults);
-        let ttp = Ttp::new(ttp_p.clone(), cfg, dir.clone(), ChaChaRng::seed_from_u64(seed ^ 0x777));
-        // Take the epoch-zero recovery points up front: a crash before the
-        // first sync restores to the freshly-built actor, not to garbage.
-        let snaps = faults.active().then(|| {
-            Box::new(WorldSnapshots {
-                client: client.snapshot(),
-                provider: provider.snapshot(),
-                ttp: ttp.snapshot(),
-            })
-        });
-
-        let node_of: HashMap<_, _> =
-            [(alice.id(), alice_node), (bob.id(), bob_node), (ttp_p.id(), ttp_node)]
-                .into_iter()
-                .collect();
-        let principal_of: HashMap<_, _> = node_of.iter().map(|(p, n)| (*n, *p)).collect();
-        let name_of: HashMap<NodeId, &'static str> =
-            [(alice_node, "alice"), (bob_node, "bob"), (ttp_node, "ttp")].into_iter().collect();
-
+        let ttp = Ttp::new(
+            ttp_p.clone(),
+            cfg.clone(),
+            dir.clone(),
+            ChaChaRng::seed_from_u64(seed ^ 0x777),
+        );
+        let actors = (slice::from_ref(&client), &provider, &ttp);
+        let stage = Stage::new(net, &cfg.faults, slice::from_ref(&alice), &bob, &ttp_p, actors);
         GenericWorld {
-            net,
+            alice_node: NodeId(0),
+            bob_node: stage.bob_node,
+            ttp_node: stage.ttp_node,
+            stage,
             client,
             provider,
             ttp,
-            alice_node,
-            bob_node,
-            ttp_node,
-            node_of,
-            principal_of,
-            name_of,
             dir,
             obs: Obs::new(),
             max_steps: 10_000,
-            ttp_touched: HashSet::new(),
-            faults,
-            snaps,
-            wheel: TimerWheel::new(),
         }
     }
 
-    /// Wheel key for the fault injector's next wakeup (restart instants and
-    /// outage boundaries are timers like any other).
-    const FAULT_WHEEL_KEY: usize = 3;
-
-    fn wheel_key(&self, node: NodeId) -> usize {
-        if node == self.alice_node {
-            0
-        } else if node == self.bob_node {
-            1
-        } else {
-            2
-        }
-    }
-
-    fn node_by_name(&self, name: &str) -> NodeId {
-        match name {
-            "alice" => self.alice_node,
-            "bob" => self.bob_node,
-            _ => self.ttp_node,
-        }
-    }
-
-    /// Re-registers one actor's earliest deadline with the wheel (a down
-    /// actor's timers are frozen, so its entry is cancelled instead).
-    fn refresh_wheel(&mut self, node: NodeId) {
-        let down = self.faults.active() && self.faults.is_down(self.name_of[&node]);
-        let d = if down { None } else { self.actor(node).next_deadline() };
-        self.wheel.set(self.wheel_key(node), d);
-    }
-
-    fn refresh_fault_wheel(&mut self) {
-        let w = self.faults.next_wakeup();
-        self.wheel.set(Self::FAULT_WHEEL_KEY, w);
-    }
-
-    /// Full wheel resync from actor state. Run at every settle entry so
-    /// deadlines armed or mutated outside the event loop (API calls, test
-    /// and attack harnesses poking actors directly) are picked up.
-    fn resync_wheel(&mut self) {
-        for node in self.actor_nodes() {
-            self.refresh_wheel(node);
-        }
-        self.refresh_fault_wheel();
+    fn hub(&mut self) -> Hub<'_, T> {
+        let client = slice::from_mut(&mut self.client);
+        self.stage.hub(client, &mut self.provider, &mut self.ttp, &mut self.obs)
     }
 
     /// Borrows the transport backend (typed, so the backend's inherent
     /// API — [`SimNet::stats`], link knobs — stays reachable).
     pub fn net(&self) -> &T {
-        &self.net
+        &self.stage.net
     }
 
     /// Mutably borrows the transport backend (links, interceptors,
     /// manual sends in attack and test harnesses).
     pub fn net_mut(&mut self) -> &mut T {
-        &mut self.net
+        &mut self.stage.net
     }
 
-    fn dispatch_outgoing(&mut self, from_node: NodeId, out: Vec<Outgoing>) {
-        for o in out {
-            let Some(&dst) = self.node_of.get(&o.to) else { continue };
-            let txn = o.msg.txn_id();
-            // First wire activity marks the transaction's start (idempotent)
-            // so terminal-state latency is measurable for every entry path.
-            self.obs.note_txn_started(txn, self.net.now());
-            // Encode once into a shared buffer; the simulator clones only
-            // the handle from here on (queue, duplicates, inbox).
-            self.net.send_tagged(from_node, dst, o.msg.to_wire_bytes(), Some(txn));
-        }
-    }
-
-    /// Sends any messages produced by a client API call.
+    /// Sends any messages produced by a client API call. Transactions not
+    /// started through [`GenericWorld::run`] are registered as started now,
+    /// so [`GenericWorld::report`] answers for them.
     pub fn send_from_client(&mut self, out: Vec<Outgoing>) {
-        self.dispatch_outgoing(self.alice_node, out);
-    }
-
-    fn actor_nodes(&self) -> [NodeId; 3] {
-        [self.alice_node, self.bob_node, self.ttp_node]
-    }
-
-    fn actor(&self, node: NodeId) -> &dyn Actor {
-        if node == self.alice_node {
-            &self.client
-        } else if node == self.bob_node {
-            &self.provider
-        } else {
-            &self.ttp
-        }
-    }
-
-    fn actor_mut(&mut self, node: NodeId) -> &mut dyn Actor {
-        if node == self.alice_node {
-            &mut self.client
-        } else if node == self.bob_node {
-            &mut self.provider
-        } else {
-            &mut self.ttp
-        }
+        self.hub().send_from_client(0, out);
     }
 
     /// Runs deliveries and timeout polls on the shared scheduler
-    /// ([`sched::settle`]) until every timer and delivery is drained or
-    /// `max_steps` is hit — check `outcome` on the returned report.
+    /// ([`sched::settle`](crate::sched::settle)) until every timer and
+    /// delivery is drained or `max_steps` is hit — check `outcome` on the
+    /// returned report.
     pub fn settle(&mut self) -> SettleReport {
-        self.resync_wheel();
         let max_steps = self.max_steps;
-        let report = sched::settle(self, max_steps);
-        // Mirror the cumulative fault counters into the metrics registry so
-        // JSONL/bench output carries them without re-deriving.
-        let f = report.faults;
-        self.obs.metrics.crashes = f.crashes;
-        self.obs.metrics.restarts = f.restarts;
-        self.obs.metrics.retries = f.retries;
-        self.obs.metrics.snapshot_bytes = f.snapshot_bytes;
-        report
+        self.hub().settle(max_steps)
     }
 
     /// Runs one transaction to settlement and returns the typed result.
@@ -403,22 +278,28 @@ impl<T: Transport> GenericWorld<T> {
     /// recorded as a rejection in [`Obs`](crate::obs::Obs) and reported as
     /// a `Failed` transaction with the sentinel id 0 (real ids start at 1).
     pub fn run(&mut self, req: TxnRequest) -> TxnResult {
-        let started = self.net.now();
-        let begun = match req.data {
-            Some(data) => self.client.begin_upload(&req.key, data, started, req.strategy),
-            None => self.client.begin_download(&req.key, started, req.strategy),
-        };
-        let (txn_id, out) = match begun {
-            Ok(v) => v,
-            Err(e) => return self.failed_initiation(started, "Transfer", e),
-        };
-        self.obs.note_state(started, "alice", txn_id, TxnState::Pending);
-        // Write-ahead: the NRO sealed at initiation must survive a crash
-        // that lands before any reply comes back.
-        self.sync_actor(self.alice_node, started, true);
-        self.send_from_client(out);
-        self.settle();
-        self.result(txn_id, started)
+        let h = self.hub().start(0, &req.key, req.data, req.strategy);
+        if h.is_real() {
+            self.settle();
+        }
+        self.result(h.txn_id).unwrap_or_else(|| {
+            let report = TxnReport {
+                txn_id: h.txn_id,
+                state: TxnState::Failed,
+                messages: 0,
+                bytes: 0,
+                latency: SimDuration::ZERO,
+                ttp_used: false,
+            };
+            TxnResult {
+                txn_id: h.txn_id,
+                outcome: report.state,
+                data: None,
+                nro: None,
+                nrr: None,
+                report,
+            }
+        })
     }
 
     /// Uploads and settles ([`TxnRequest::upload`] + [`World::run`]).
@@ -438,345 +319,34 @@ impl<T: Transport> GenericWorld<T> {
         self.run(TxnRequest::download(key).with_strategy(strategy))
     }
 
-    /// Assembles the typed result for a settled transaction.
-    pub fn result(&self, txn_id: u64, started: SimTime) -> TxnResult {
-        let report = self.report(txn_id, started);
-        let t = self.client.txn(txn_id);
-        TxnResult {
-            txn_id,
-            outcome: report.state,
-            data: self.client.download_result(txn_id).map(|p| p.data.clone()),
-            nro: t.map(|t| t.nro.clone()),
-            nrr: t.and_then(|t| t.nrr.clone()),
-            report,
-        }
+    /// Typed result for a transaction, live or archived (evicted
+    /// transactions re-hydrate their evidence from the archive log); `None`
+    /// for unknown ids.
+    pub fn result(&self, txn_id: u64) -> Option<TxnResult> {
+        self.stage.result(slice::from_ref(&self.client), TxnHandle { client: 0, txn_id })
     }
 
-    /// Records a client-side initiation failure and builds the degraded
-    /// result (no traffic was ever generated for the transaction).
-    fn failed_initiation(
-        &mut self,
-        started: SimTime,
-        msg: &str,
-        error: crate::session::ValidationError,
-    ) -> TxnResult {
-        self.obs.record(Event {
-            at: started,
-            txn: None,
-            actor: "alice".to_string(),
-            kind: EventKind::Rejected { from: "alice".to_string(), msg: msg.to_string(), error },
-        });
-        TxnResult {
-            txn_id: 0,
-            outcome: TxnState::Failed,
-            data: None,
-            nro: None,
-            nrr: None,
-            report: TxnReport {
-                txn_id: 0,
-                state: TxnState::Failed,
-                messages: 0,
-                bytes: 0,
-                latency: started.since(started),
-                ttp_used: false,
-            },
-        }
+    /// Exact per-transaction report from the transport's tagged traffic
+    /// counters, or from the archive once the transaction was evicted;
+    /// `None` for unknown ids. Latency is txn-scoped — measured to this
+    /// transaction's own last delivery, not to `net.now()`, so unrelated
+    /// background traffic never inflates it.
+    pub fn report(&self, txn_id: u64) -> Option<TxnReport> {
+        self.stage.report(slice::from_ref(&self.client), txn_id)
     }
 
     /// Cumulative fault counters: the injector's own plus the client's
     /// retry machinery (which lives outside snapshots so it never resets).
     pub fn fault_counters(&self) -> FaultStats {
-        let mut f = self.faults.stats;
-        f.retries += self.client.retry_stats.retries;
-        f.gave_up += self.client.retry_stats.gave_up;
-        f
-    }
-
-    /// Marks the actor at `node` crashed and records the event. The restart
-    /// instant becomes a scheduler timer via [`FaultCtl::next_wakeup`].
-    fn crash_actor(&mut self, node: NodeId, now: SimTime) {
-        let name = self.name_of[&node];
-        self.faults.crash(name, now);
-        // The outage is a transport fact: queued copies addressed to the
-        // node drop (and are counted) at their delivery instant instead of
-        // silently evaporating in the runner.
-        self.net.set_node_down(node, true);
-        // Freeze the crashed actor's armed deadline: its wheel entry dies
-        // with it and is re-registered from the restored snapshot. The
-        // restart instant itself becomes a wheel entry.
-        self.wheel.cancel(self.wheel_key(node));
-        self.refresh_fault_wheel();
-        self.obs.record(Event {
-            at: now,
-            txn: None,
-            actor: name.to_string(),
-            kind: EventKind::Crashed,
-        });
-    }
-
-    /// Restores a restarted actor from its last synced snapshot.
-    fn restore_actor(&mut self, name: &str, now: SimTime) {
-        let Some(snaps) = self.snaps.take() else { return };
-        let bytes = match name {
-            "alice" => {
-                self.client.restore(&snaps.client);
-                snaps.client.bytes()
-            }
-            "bob" => {
-                self.provider.restore(&snaps.provider);
-                snaps.provider.bytes()
-            }
-            _ => {
-                self.ttp.restore(&snaps.ttp);
-                snaps.ttp.bytes()
-            }
-        };
-        self.snaps = Some(snaps);
-        self.obs.record(Event {
-            at: now,
-            txn: None,
-            actor: name.to_string(),
-            kind: EventKind::Restarted { snapshot_bytes: bytes },
-        });
-    }
-
-    /// Durably syncs an actor's state if due (or forced — the write-ahead
-    /// path taken before any produced message reaches the wire).
-    fn sync_actor(&mut self, node: NodeId, now: SimTime, force: bool) {
-        if self.snaps.is_none() {
-            return;
-        }
-        let name = self.name_of[&node];
-        match self.faults.sync_due(name, now, force) {
-            SyncDecision::Skip | SyncDecision::FailedWrite => {}
-            SyncDecision::Persist => {
-                let Some(snaps) = self.snaps.as_mut() else { return };
-                let bytes = if node == self.alice_node {
-                    let s = self.client.snapshot();
-                    let b = s.bytes();
-                    snaps.client = s;
-                    b
-                } else if node == self.bob_node {
-                    let s = self.provider.snapshot();
-                    let b = s.bytes();
-                    snaps.provider = s;
-                    b
-                } else {
-                    let s = self.ttp.snapshot();
-                    let b = s.bytes();
-                    snaps.ttp = s;
-                    b
-                };
-                self.faults.note_snapshot(bytes);
-            }
-        }
-    }
-
-    /// Builds an exact per-transaction report from the simulator's tagged
-    /// traffic counters. Latency is txn-scoped — measured to this
-    /// transaction's own last delivery, not to `net.now()`, so unrelated
-    /// background traffic never inflates it (same rule as
-    /// [`MultiWorld::report`](crate::multi::MultiWorld::report)).
-    pub fn report(&self, txn_id: u64, started: SimTime) -> TxnReport {
-        let t = self.net.txn_stats(txn_id);
-        TxnReport {
-            txn_id,
-            state: self.client.txn_state(txn_id).unwrap_or(TxnState::Pending),
-            messages: t.delivered,
-            bytes: t.bytes_sent,
-            latency: t.last_delivered_at.since(started),
-            ttp_used: self.ttp_touched.contains(&txn_id),
-        }
-    }
-}
-
-impl<T: Transport> EventHub for GenericWorld<T> {
-    fn transport(&mut self) -> &mut dyn Transport {
-        &mut self.net
-    }
-
-    fn next_timer(&self) -> Option<SimTime> {
-        // The wheel is the deadline index: actor deadlines and the fault
-        // injector's wakeups (restarts, outage starts) are all entries, so
-        // downtime advances the clock instead of stalling the loop and no
-        // actor is polled. A crashed actor's entry is cancelled with it,
-        // freezing its protocol timers until restart.
-        self.wheel.peek()
-    }
-
-    fn fire_timers(&mut self, now: SimTime) -> usize {
-        if self.faults.active() {
-            // Restarts and outage boundaries first: a just-restored actor
-            // ticks in this same round, so an overdue deadline revealed by
-            // the restore produces output immediately (never barren).
-            let ev = self.faults.poll("ttp", now);
-            for name in ev.crashed {
-                let node = self.node_by_name(&name);
-                self.net.set_node_down(node, true);
-                self.wheel.cancel(self.wheel_key(node));
-                self.obs.record(Event {
-                    at: now,
-                    txn: None,
-                    actor: name,
-                    kind: EventKind::Crashed,
-                });
-            }
-            for name in ev.restarted {
-                self.restore_actor(&name, now);
-                // Re-arm from the restored state (the stale pre-crash entry
-                // was cancelled at crash time and can never fire).
-                let node = self.node_by_name(&name);
-                self.net.set_node_down(node, false);
-                self.refresh_wheel(node);
-            }
-            self.refresh_fault_wheel();
-        }
-        let mut dispatched = 0;
-        for key in self.wheel.advance(now) {
-            if key == Self::FAULT_WHEEL_KEY {
-                continue; // consumed by faults.poll above
-            }
-            let node = self.actor_nodes()[key];
-            if self.faults.active() && self.faults.is_down(self.name_of[&node]) {
-                continue;
-            }
-            let out = self.actor_mut(node).on_tick(now);
-            self.obs.record(Event {
-                at: now,
-                txn: None,
-                actor: self.name_of[&node].to_string(),
-                kind: EventKind::TimerFired { messages: out.len() },
-            });
-            if !out.is_empty() {
-                // Write-ahead: timer-driven sends (Abort/Resolve) persist
-                // the state they acknowledge before hitting the wire.
-                self.sync_actor(node, now, true);
-            }
-            dispatched += out.len();
-            self.dispatch_outgoing(node, out);
-            // The tick moved or kept this actor's deadline; re-register it
-            // (a kept overdue deadline re-files as overdue, preserving the
-            // scheduler's barren-masking comparison).
-            self.refresh_wheel(node);
-        }
-        if self.faults.active() {
-            self.refresh_fault_wheel();
-        }
-        // Timers move client-visible transaction states (abort/resolve
-        // initiation, local failure declarations); diff them all.
-        for txn in self.client.txn_ids() {
-            if let Some(st) = self.client.txn_state(txn) {
-                self.obs.note_state(now, "alice", txn, st);
-            }
-        }
-        dispatched
-    }
-
-    fn deliver(&mut self, env: Envelope) {
-        let now = self.net.now();
-        let from_principal = self.principal_of[&env.src];
-        let from = self.name_of[&env.src];
-        let actor = self.name_of[&env.dst];
-        if self.faults.active() && self.faults.is_down(actor) {
-            // Same-instant defense in depth: the transport drops queued
-            // copies for a down node at their delivery instant, but a crash
-            // fired in this very settle round can race an already-polled
-            // envelope. The sender's retry machinery is the recovery path.
-            self.faults.note_delivery_lost();
-            return;
-        }
-        let msg = match Message::from_wire_bytes(&env.payload) {
-            Ok(m) => m,
-            Err(_) => {
-                // An undecodable payload belongs to whatever transaction
-                // tagged it on the wire — usually none. (It used to be
-                // reported as `txn_id: 0`, colliding with a real id.)
-                self.obs.record(Event {
-                    at: now,
-                    txn: env.txn,
-                    actor: actor.to_string(),
-                    kind: EventKind::Garbled { from: from.to_string() },
-                });
-                return;
-            }
-        };
-        let txn_id = msg.txn_id();
-        if env.dst == self.ttp_node {
-            self.ttp_touched.insert(txn_id);
-        }
-        // Prefer the sender's wire tag; adversary injections are untagged
-        // but decode, so fall back to the protocol header's id.
-        let txn = env.txn.or(Some(txn_id));
-        let msg_kind = msg.kind().to_string();
-        let verdict = if self.faults.active() {
-            self.faults.delivery_verdict(actor, &msg_kind)
-        } else {
-            DeliveryVerdict::Proceed
-        };
-        if verdict == DeliveryVerdict::CrashBefore {
-            // Crash on receipt: the message is lost before processing.
-            self.crash_actor(env.dst, now);
-            return;
-        }
-        let result = self.actor_mut(env.dst).on_message(from_principal, &msg, now);
-        match result {
-            Ok(out) => {
-                self.obs.record(Event {
-                    at: now,
-                    txn,
-                    actor: actor.to_string(),
-                    kind: EventKind::Delivered { from: from.to_string(), msg: msg_kind },
-                });
-                if env.dst == self.alice_node {
-                    if let Some(st) = self.client.txn_state(txn_id) {
-                        self.obs.note_state(now, actor, txn_id, st);
-                    }
-                }
-                // Write-ahead durable sync: a reply acknowledges state, so
-                // the state hits the snapshot before the reply hits the
-                // wire. Output-less (passive) steps defer to the interval.
-                let force = !out.is_empty() || verdict == DeliveryVerdict::CrashAfter;
-                self.sync_actor(env.dst, now, force);
-                if verdict == DeliveryVerdict::CrashAfter {
-                    // State persisted, replies die with the process.
-                    self.crash_actor(env.dst, now);
-                } else {
-                    self.dispatch_outgoing(env.dst, out);
-                }
-            }
-            Err(error) => {
-                self.obs.record(Event {
-                    at: now,
-                    txn,
-                    actor: actor.to_string(),
-                    kind: EventKind::Rejected { from: from.to_string(), msg: msg_kind, error },
-                });
-                if verdict == DeliveryVerdict::CrashAfter {
-                    self.crash_actor(env.dst, now);
-                }
-            }
-        }
-        // The message may have armed, moved, or cleared the recipient's
-        // earliest deadline; keep the wheel authoritative. (Crash paths
-        // already cancelled the entry; refresh on a down actor is a no-op
-        // cancellation.)
-        self.refresh_wheel(env.dst);
-    }
-
-    fn obs_mut(&mut self) -> Option<&mut Obs> {
-        Some(&mut self.obs)
-    }
-
-    fn fault_stats(&self) -> FaultStats {
-        self.fault_counters()
+        self.stage.fault_counters(slice::from_ref(&self.client))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::{Event, EventKind};
     use crate::sched::SettleOutcome;
-    use tpnr_net::time::SimDuration;
 
     fn world() -> World {
         World::new(1, ProtocolConfig::full())
@@ -863,10 +433,15 @@ mod tests {
         // NRR but Alice never sees it, so she resolves via the TTP.
         let alice = w.alice_node;
         let bob = w.bob_node;
-        w.net.set_link(bob, alice, LinkConfig { drop_prob: 1.0, ..LinkConfig::default() });
+        w.stage.net.set_link(bob, alice, LinkConfig { drop_prob: 1.0, ..LinkConfig::default() });
         let (txn_id, out) = w
             .client
-            .begin_upload(b"k", b"data".to_vec(), w.net.now(), TimeoutStrategy::ResolveImmediately)
+            .begin_upload(
+                b"k",
+                b"data".to_vec(),
+                w.stage.net.now(),
+                TimeoutStrategy::ResolveImmediately,
+            )
             .unwrap();
         w.send_from_client(out);
         // Heal the link after the first loss so the resolve reply gets back.
@@ -887,17 +462,38 @@ mod tests {
         for seed in 0..5 {
             let mut w = World::new(seed, ProtocolConfig::full());
             w.set_all_links(LinkConfig::lossy(SimDuration::from_millis(20), 0.3));
-            let started = w.net.now();
+            // The harness path: begun on the client, sent by the world.
+            // `send_from_client` registers the transaction, so `report`
+            // still answers for it.
+            let now = w.stage.net.now();
             let (txn_id, out) = w
                 .client
-                .begin_upload(b"k", vec![1, 2, 3], started, TimeoutStrategy::ResolveImmediately)
+                .begin_upload(b"k", vec![1, 2, 3], now, TimeoutStrategy::ResolveImmediately)
                 .unwrap();
             w.send_from_client(out);
             let s = w.settle();
             assert_eq!(s.outcome, SettleOutcome::Quiescent, "seed {seed}");
-            let r = w.report(txn_id, started);
+            let r = w.report(txn_id).expect("harness-started txn is reported");
             assert!(r.state.is_terminal(), "seed {seed} left state {:?}", r.state);
         }
+    }
+
+    #[test]
+    fn long_single_client_run_stays_bounded() {
+        // The one-client world shares the multi-client archive: past the
+        // hot capacity (16 shards × 64) the oldest settled transactions
+        // leave the live maps, and their evidence stays answerable.
+        let mut w = world();
+        let first = w.upload(b"k0", b"d".to_vec(), TimeoutStrategy::AbortFirst).txn_id;
+        for i in 1..1_100u32 {
+            let r = w.upload(&i.to_be_bytes(), b"d".to_vec(), TimeoutStrategy::AbortFirst);
+            assert!(r.completed(), "upload {i}");
+        }
+        assert!(w.client.txn_ids().len() <= 16 * 64, "{} live txns", w.client.txn_ids().len());
+        assert!(w.client.txn(first).is_none(), "the first upload was evicted");
+        let r = w.result(first).expect("evicted txn still answers");
+        assert_eq!(r.outcome, TxnState::Completed);
+        assert!(r.nro.is_some() && r.nrr.is_some(), "NRO/NRR re-hydrated from the archive");
     }
 
     #[test]
@@ -912,7 +508,7 @@ mod tests {
         let mut w = world();
         w.provider.behavior.respond_transfers = false;
         let (a, b) = (w.alice_node, w.bob_node);
-        w.net.set_link(
+        w.stage.net.set_link(
             a,
             b,
             LinkConfig {
@@ -921,14 +517,14 @@ mod tests {
                 ..Default::default()
             },
         );
-        let started = w.net.now();
+        let started = w.stage.net.now();
         let (txn_id, out) = w
             .client
             .begin_upload(b"k", b"data".to_vec(), started, TimeoutStrategy::ResolveImmediately)
             .unwrap();
         w.send_from_client(out);
         for _ in 0..200 {
-            w.net.send(a, b, b"not a protocol message".to_vec());
+            w.stage.net.send(a, b, b"not a protocol message".to_vec());
         }
         let s = w.settle();
         assert_eq!(s.outcome, SettleOutcome::Quiescent);
@@ -957,7 +553,7 @@ mod tests {
     fn step_cap_reports_exceeded_instead_of_silently_settling() {
         let mut w = world();
         w.max_steps = 1;
-        let started = w.net.now();
+        let started = w.stage.net.now();
         let (_, out) = w
             .client
             .begin_upload(b"k", b"d".to_vec(), started, TimeoutStrategy::AbortFirst)
@@ -1059,7 +655,7 @@ mod tests {
         // flood's tail.
         let mut w = world();
         let (a, b) = (w.alice_node, w.bob_node);
-        w.net.set_link(
+        w.stage.net.set_link(
             a,
             b,
             LinkConfig {
@@ -1069,15 +665,15 @@ mod tests {
             },
         );
         for _ in 0..200 {
-            w.net.send(a, b, b"background noise".to_vec());
+            w.stage.net.send(a, b, b"background noise".to_vec());
         }
-        w.net.set_link(a, b, LinkConfig::default());
+        w.stage.net.set_link(a, b, LinkConfig::default());
         let r = w.upload(b"k", b"data".to_vec(), TimeoutStrategy::AbortFirst);
         assert_eq!(r.outcome, TxnState::Completed);
         assert!(
-            w.net.now().micros() > 60_000_000,
+            w.stage.net.now().micros() > 60_000_000,
             "the flood should have kept the clock running: {}",
-            w.net.now().micros()
+            w.stage.net.now().micros()
         );
         assert!(
             r.report.latency.micros() <= 1_000_000,
@@ -1101,7 +697,7 @@ mod tests {
         w.obs.set_capacity(64);
         let (a, b) = (w.alice_node, w.bob_node);
         for _ in 0..500 {
-            w.net.send(a, b, b"junk".to_vec());
+            w.stage.net.send(a, b, b"junk".to_vec());
         }
         w.settle();
         assert_eq!(w.obs.events().len(), 64, "ring never exceeds its capacity");
