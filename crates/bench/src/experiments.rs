@@ -1,5 +1,6 @@
 //! The E1–E10 experiment implementations (DESIGN.md §5).
 
+use crate::row::{bench_row, failed, BenchRow, Gated};
 use std::sync::{Arc, Mutex};
 use tpnr_core::bridge::{self, BridgingScheme, DisputeScenario, SchemeKind};
 use tpnr_core::client::TimeoutStrategy;
@@ -163,28 +164,49 @@ pub fn e3_attack_matrix() -> Vec<tpnr_attacks::AttackOutcome> {
 
 // ---------------------------------------------------------------- E4 ----
 
-/// One row of the evidence-cost table.
-#[derive(Debug, Clone)]
-pub struct E4Row {
-    /// Payload size hashed into the evidence.
-    pub size: usize,
-    /// Hash algorithm.
-    pub alg: HashAlg,
-    /// Microseconds to build (commit + one signing pass producing the wire
-    /// evidence and the sender's archived copy).
-    pub generate_us: f64,
-    /// Microseconds to re-commit on the receiver and verify.
-    pub verify_us: f64,
-    /// Digest-memo hits across both parties for this size × alg cell.
-    pub cache_hits: u64,
-    /// Digest-memo misses (full hash passes) across both parties.
-    pub cache_misses: u64,
-    /// Deep payload copies performed during the measured loop (the shared
-    /// [`tpnr_net::Bytes`] path keeps this at zero).
-    pub deep_copies: u64,
-    /// Bytes moved by those deep copies.
-    pub deep_copy_bytes: u64,
+bench_row! {
+    kind = "e4";
+    /// One row of the evidence-cost table.
+    #[derive(Debug, Clone)]
+    pub struct E4Row {
+        /// Payload size hashed into the evidence.
+        pub size: usize,
+        /// Hash algorithm.
+        pub alg: HashAlg,
+        /// Microseconds to build (commit + one signing pass producing the wire
+        /// evidence and the sender's archived copy).
+        pub generate_us: f64,
+        /// Microseconds to re-commit on the receiver and verify.
+        pub verify_us: f64,
+        /// Digest-memo hits across both parties for this size × alg cell.
+        pub cache_hits: u64,
+        /// Digest-memo misses (full hash passes) across both parties.
+        pub cache_misses: u64,
+        /// Deep payload copies performed during the measured loop (the shared
+        /// [`tpnr_net::Bytes`] path keeps this at zero).
+        pub deep_copies: u64,
+        /// Bytes moved by those deep copies.
+        pub deep_copy_bytes: u64,
+    }
 }
+
+impl Gated for E4Row {}
+
+bench_row! {
+    kind = "e4-transport";
+    /// Deep payload copies performed by one full TPNR upload round-trip.
+    #[derive(Debug, Clone)]
+    pub struct E4Transport {
+        /// Uploaded object size.
+        pub size: usize,
+        /// Deep payload copies across the upload.
+        pub upload_deep_copies: u64,
+        /// Bytes moved by those deep copies.
+        pub upload_deep_copy_bytes: u64,
+    }
+}
+
+impl Gated for E4Transport {}
 
 /// E4: cost of evidence generation/verification vs payload size and hash.
 /// Criterion benches cover the same path with proper statistics; this
@@ -271,13 +293,17 @@ pub fn e4_evidence_cost(sizes: &[usize], algs: &[HashAlg]) -> Vec<E4Row> {
 /// The zero-copy wire path (shared envelopes, in-place frame views) keeps
 /// this at 0; the pre-`Bytes` transport cloned the payload at least twice
 /// per hop (outbox → queue, queue → inbox).
-pub fn e4_transport_copies(size: usize) -> (u64, u64) {
+pub fn e4_transport_copies(size: usize) -> E4Transport {
     use tpnr_net::Bytes;
     let before = (Bytes::deep_copies(), Bytes::deep_copy_bytes());
     let mut w = World::new(404, ProtocolConfig::full());
     let r = w.upload(b"copy-probe", vec![0xa5u8; size], TimeoutStrategy::AbortFirst);
     assert_eq!(r.outcome, TxnState::Completed);
-    (Bytes::deep_copies() - before.0, Bytes::deep_copy_bytes() - before.1)
+    E4Transport {
+        size,
+        upload_deep_copies: Bytes::deep_copies() - before.0,
+        upload_deep_copy_bytes: Bytes::deep_copy_bytes() - before.1,
+    }
 }
 
 // ---------------------------------------------------------------- E5 ----
@@ -404,32 +430,45 @@ pub fn e7_bridge_schemes(seed: u64) -> Vec<E7Row> {
 
 // ---------------------------------------------------------------- E8 ----
 
-/// One row of the E8 chaos sweep: outcome classification of a fleet of
-/// transactions run under a given per-delivery crash probability.
-#[derive(Debug, Clone)]
-pub struct E8Row {
-    /// Per-delivery crash probability, in permille (300 = 0.3).
-    pub crash_prob_permille: u32,
-    /// Independent transactions attempted at this probability.
-    pub trials: u64,
-    /// Completed with both NRO and NRR sealed — full evidence.
-    pub completed_full_evidence: u64,
-    /// Terminal (Aborted / AbortRejected / Failed) without a receipt, but
-    /// the client still holds sealed evidence it can take to arbitration.
-    pub arbitrable_terminal: u64,
-    /// Neither — evidence-less limbo. The protocol's §4 claim is that this
-    /// is zero at every crash probability.
-    pub limbo: u64,
-    /// Actor crashes injected across all trials.
-    pub crashes: u64,
-    /// Snapshot restarts performed across all trials.
-    pub restarts: u64,
-    /// Timeout-driven re-sends beyond the first attempt.
-    pub retries: u64,
-    /// Transactions whose retry budget was exhausted (now `Failed`).
-    pub gave_up: u64,
-    /// Durable-state bytes written by the write-ahead sync policy.
-    pub snapshot_bytes: u64,
+bench_row! {
+    kind = "e8";
+    /// One row of the E8 chaos sweep: outcome classification of a fleet of
+    /// transactions run under a given per-delivery crash probability.
+    #[derive(Debug, Clone, Default)]
+    pub struct E8Row {
+        /// Per-delivery crash probability, in permille (300 = 0.3).
+        pub crash_prob_permille: u32,
+        /// Independent transactions attempted at this probability.
+        pub trials: u64,
+        /// Completed with both NRO and NRR sealed — full evidence.
+        pub completed_full_evidence: u64,
+        /// Terminal (Aborted / AbortRejected / Failed) without a receipt, but
+        /// the client still holds sealed evidence it can take to arbitration.
+        pub arbitrable_terminal: u64,
+        /// Neither — evidence-less limbo. The protocol's §4 claim is that this
+        /// is zero at every crash probability.
+        pub limbo: u64,
+        /// Transactions that ended without the evidence to arbitrate them:
+        /// in this sweep, exactly the `limbo` ones.
+        pub evidence_loss: u64,
+        /// Actor crashes injected across all trials.
+        pub crashes: u64,
+        /// Snapshot restarts performed across all trials.
+        pub restarts: u64,
+        /// Timeout-driven re-sends beyond the first attempt.
+        pub retries: u64,
+        /// Transactions whose retry budget was exhausted (now `Failed`).
+        pub gave_up: u64,
+        /// Durable-state bytes written by the write-ahead sync policy.
+        pub snapshot_bytes: u64,
+    }
+}
+
+/// No crashed run may lose sealed evidence.
+impl Gated for E8Row {
+    fn failed_gates(&self) -> Vec<&'static str> {
+        failed(&[("limbo", self.limbo == 0), ("evidence_loss", self.evidence_loss == 0)])
+    }
 }
 
 /// E8 / §4.11: crash-recovery chaos sweep. Alice, Bob and the TTP each
@@ -485,6 +524,7 @@ pub fn e8_chaos(crash_permilles: &[u32], trials: usize) -> Vec<E8Row> {
                 completed_full_evidence: sum[0],
                 arbitrable_terminal: sum[1],
                 limbo: sum[2],
+                evidence_loss: sum[2],
                 crashes: sum[3],
                 restarts: sum[4],
                 retries: sum[5],
@@ -497,63 +537,79 @@ pub fn e8_chaos(crash_permilles: &[u32], trials: usize) -> Vec<E8Row> {
 
 // --------------------------------------------------------------- E10 ----
 
-/// One row of the E10 scale sweep: a population of `clients` clients, one
-/// upload each, driven across independent simulation lanes in parallel.
-/// All fields except the host-timing pair (`elapsed_ms`, `txn_per_sec`)
-/// are deterministic in the seed.
-#[derive(Debug, Clone)]
-pub struct E10Row {
-    /// Total simulated clients (= transactions attempted).
-    pub clients: u64,
-    /// Independent simulation lanes the population was split into.
-    pub lanes: u64,
-    /// Transactions completed with full evidence.
-    pub completed: u64,
-    /// Host wall-clock for build + run + verify, in milliseconds.
-    pub elapsed_ms: u64,
-    /// Settled transactions per host-second.
-    pub txn_per_sec: u64,
-    /// Median settle latency (sim-time µs, initiation → last delivery).
-    pub p50_us: u64,
-    /// 99th-percentile settle latency (sim-time µs).
-    pub p99_us: u64,
-    /// Sealed archive-log bytes per client (the at-rest evidence cost).
-    pub bytes_per_client: u64,
-    /// Messages handed to the simulator across all lanes.
-    pub sent: u64,
-    /// Messages delivered to an inbox (duplicates count per copy).
-    pub delivered: u64,
-    /// Messages the network lost.
-    pub dropped: u64,
-    /// Duplicate copies the network injected.
-    pub duplicated: u64,
-    /// Lanes where `delivered + dropped != sent + duplicated` (or that
-    /// failed to reach quiescence). The conservation law must hold: 0.
-    pub conservation_violations: u64,
-    /// Settled txns evicted to sealed archive logs.
-    pub evicted: u64,
-    /// Archived bundles re-hydrated (the verify pass reads every one).
-    pub rehydrated: u64,
-    /// Live per-txn bookkeeping entries left across all lanes at the end —
-    /// the bounded-resident-memory claim.
-    pub resident: u64,
-    /// Total sealed archive-log bytes.
-    pub archive_bytes: u64,
-    /// Arbitrable txns whose evidence did not survive eviction +
-    /// re-hydration (must be 0: eviction moves evidence, never loses it).
-    pub evidence_loss: u64,
-    /// Transactions whose retry budget was exhausted.
-    pub gave_up: u64,
-    /// Workers in the pool that drove the lanes (calling thread included).
-    pub workers: u64,
-    /// The host's advertised core count — recorded so bench trajectories
-    /// stay comparable across machines.
-    pub available_parallelism: u64,
-    /// Steal operations during the lane fan-out (timing-dependent).
-    pub steals: u64,
-    /// Stealable tasks the lane range was split into (deterministic for a
-    /// given worker count).
-    pub tasks: u64,
+bench_row! {
+    kind = "e10";
+    /// One row of the E10 scale sweep: a population of `clients` clients, one
+    /// upload each, driven across independent simulation lanes in parallel.
+    /// All fields except the host-timing pair (`elapsed_ms`, `txn_per_sec`)
+    /// are deterministic in the seed.
+    #[derive(Debug, Clone, Default)]
+    pub struct E10Row {
+        /// Total simulated clients (= transactions attempted).
+        pub clients: u64,
+        /// Independent simulation lanes the population was split into.
+        pub lanes: u64,
+        /// Transactions completed with full evidence.
+        pub completed: u64,
+        /// Host wall-clock for build + run + verify, in milliseconds.
+        pub elapsed_ms: u64,
+        /// Settled transactions per host-second.
+        pub txn_per_sec: u64,
+        /// Median settle latency (sim-time µs, initiation → last delivery).
+        pub p50_us: u64,
+        /// 99th-percentile settle latency (sim-time µs).
+        pub p99_us: u64,
+        /// Sealed archive-log bytes per client (the at-rest evidence cost).
+        pub bytes_per_client: u64,
+        /// Messages handed to the simulator across all lanes.
+        pub sent: u64,
+        /// Messages delivered to an inbox (duplicates count per copy).
+        pub delivered: u64,
+        /// Messages the network lost.
+        pub dropped: u64,
+        /// Duplicate copies the network injected.
+        pub duplicated: u64,
+        /// Lanes where `delivered + dropped != sent + duplicated` (or that
+        /// failed to reach quiescence). The conservation law must hold: 0.
+        pub conservation_violations: u64,
+        /// Settled txns evicted to sealed archive logs.
+        pub evicted: u64,
+        /// Archived bundles re-hydrated (the verify pass reads every one).
+        pub rehydrated: u64,
+        /// Live per-txn bookkeeping entries left across all lanes at the end —
+        /// the bounded-resident-memory claim.
+        pub resident: u64,
+        /// Total sealed archive-log bytes.
+        pub archive_bytes: u64,
+        /// Arbitrable txns whose evidence did not survive eviction +
+        /// re-hydration (must be 0: eviction moves evidence, never loses it).
+        pub evidence_loss: u64,
+        /// Transactions whose retry budget was exhausted.
+        pub gave_up: u64,
+        /// Workers in the pool that drove the lanes (calling thread included).
+        pub workers: u64,
+        /// The host's advertised core count — recorded so bench trajectories
+        /// stay comparable across machines.
+        pub available_parallelism: u64,
+        /// Steal operations during the lane fan-out (timing-dependent).
+        pub steals: u64,
+        /// Stealable tasks the lane range was split into (deterministic for a
+        /// given worker count).
+        pub tasks: u64,
+    }
+}
+
+/// The delivery conservation law holds in every lane, eviction to the
+/// archive loses no evidence, and eviction actually engaged (otherwise
+/// the bounded-memory path went untested).
+impl Gated for E10Row {
+    fn failed_gates(&self) -> Vec<&'static str> {
+        failed(&[
+            ("conservation_violations", self.conservation_violations == 0),
+            ("evidence_loss", self.evidence_loss == 0),
+            ("evicted", self.evicted > 0),
+        ])
+    }
 }
 
 /// Clients per E10 simulation lane (also the shared principal-pool size).
@@ -767,61 +823,85 @@ pub fn e10_scale_on(pool: &tpnr_par::Pool, client_counts: &[usize], seed: u64) -
 
 // --------------------------------------------------------------- E12 ----
 
-/// One row of the E12 RSA-kernel sweep: sign/verify microseconds for one
-/// key size × hash algorithm, measured on the fixed-limb windowed path and
-/// on the retained pre-optimization classic path **interleaved in one run**
-/// (so the ratio survives host noise even on a loaded single-core VM), plus
-/// heap-allocation tallies per signing operation on each path.
-#[derive(Debug, Clone)]
-pub struct E12Row {
-    /// RSA modulus width in bits.
-    pub bits: u64,
-    /// Digest algorithm of the signed prehash.
-    pub alg: &'static str,
-    /// Mean classic-path (square-and-multiply, Vec-backed) sign time, µs.
-    pub sign_classic_us: u64,
-    /// Mean fixed-limb windowed sign time, µs.
-    pub sign_fast_us: u64,
-    /// `sign_classic_us / sign_fast_us`, ×100 (integer-JSON friendly).
-    pub sign_speedup_x100: u64,
-    /// Mean classic-path verify time, µs.
-    pub verify_classic_us: u64,
-    /// Mean fixed-limb verify time, µs.
-    pub verify_fast_us: u64,
-    /// `BigUint` limb-vector allocations per classic sign.
-    pub allocs_per_sign_classic: u64,
-    /// `BigUint` limb-vector allocations per fixed-limb sign: the key's
-    /// engine runs the whole CRT on stack limbs, so this is 0 at every
-    /// width the engine covers.
-    pub allocs_per_sign_fast: u64,
-    /// Fast sign under the recorded per-width floor (noise-margined): the
-    /// CI regression gate.
-    pub sign_floor_ok: bool,
-    /// `allocs_per_sign_fast == 0`: the CI gate that keeps `BigUint` off
-    /// the signing path.
-    pub sign_alloc_free: bool,
+bench_row! {
+    kind = "e12";
+    /// One row of the E12 RSA-kernel sweep: sign/verify microseconds for one
+    /// key size × hash algorithm, measured on the fixed-limb windowed path and
+    /// on the retained pre-optimization classic path **interleaved in one run**
+    /// (so the ratio survives host noise even on a loaded single-core VM), plus
+    /// heap-allocation tallies per signing operation on each path.
+    #[derive(Debug, Clone, Default)]
+    pub struct E12Row {
+        /// RSA modulus width in bits.
+        pub bits: u64,
+        /// Digest algorithm of the signed prehash.
+        pub alg: &'static str,
+        /// Mean classic-path (square-and-multiply, Vec-backed) sign time, µs.
+        pub sign_classic_us: u64,
+        /// Mean fixed-limb windowed sign time, µs.
+        pub sign_fast_us: u64,
+        /// `sign_classic_us / sign_fast_us`, ×100 (integer-JSON friendly).
+        pub sign_speedup_x100: u64,
+        /// Mean classic-path verify time, µs.
+        pub verify_classic_us: u64,
+        /// Mean fixed-limb verify time, µs.
+        pub verify_fast_us: u64,
+        /// `BigUint` limb-vector allocations per classic sign.
+        pub allocs_per_sign_classic: u64,
+        /// `BigUint` limb-vector allocations per fixed-limb sign: the key's
+        /// engine runs the whole CRT on stack limbs, so this is 0 at every
+        /// width the engine covers.
+        pub allocs_per_sign_fast: u64,
+        /// Fast sign under the recorded per-width floor (noise-margined): the
+        /// CI regression gate.
+        pub sign_floor_ok: bool,
+        /// `allocs_per_sign_fast == 0`: the CI gate that keeps `BigUint` off
+        /// the signing path.
+        pub sign_alloc_free: bool,
+    }
 }
 
-/// The E12 batch-verification amortization row: `n` (digest, signature)
-/// pairs under one key, one randomized-linear-combination pass vs `n`
-/// serial verifications.
-#[derive(Debug, Clone)]
-pub struct E12Batch {
-    /// RSA modulus width in bits.
-    pub bits: u64,
-    /// Batch size.
-    pub n: u64,
-    /// Total serial verification time for the batch, µs.
-    pub serial_us: u64,
-    /// One `verify_batch` call over the same items, µs.
-    pub batch_us: u64,
-    /// `serial_us / batch_us`, ×100.
-    pub amortization_x100: u64,
-    /// Batch no slower than serial: the CI gate.
-    pub batch_not_slower: bool,
-    /// A tampered signature hidden in the batch was caught and attributed
-    /// to the right index (soundness spot-check inside the bench run).
-    pub tampered_attributed: bool,
+/// Signing stays under its recorded floor and allocates no limb buffers.
+impl Gated for E12Row {
+    fn failed_gates(&self) -> Vec<&'static str> {
+        failed(&[("sign_floor_ok", self.sign_floor_ok), ("sign_alloc_free", self.sign_alloc_free)])
+    }
+}
+
+bench_row! {
+    kind = "e12_batch";
+    /// The E12 batch-verification amortization row: `n` (digest, signature)
+    /// pairs under one key, one randomized-linear-combination pass vs `n`
+    /// serial verifications.
+    #[derive(Debug, Clone, Default)]
+    pub struct E12Batch {
+        /// RSA modulus width in bits.
+        pub bits: u64,
+        /// Batch size.
+        pub n: u64,
+        /// Total serial verification time for the batch, µs.
+        pub serial_us: u64,
+        /// One `verify_batch` call over the same items, µs.
+        pub batch_us: u64,
+        /// `serial_us / batch_us`, ×100.
+        pub amortization_x100: u64,
+        /// Batch no slower than serial: the CI gate.
+        pub batch_not_slower: bool,
+        /// A tampered signature hidden in the batch was caught and attributed
+        /// to the right index (soundness spot-check inside the bench run).
+        pub tampered_attributed: bool,
+    }
+}
+
+/// Batch verification is no slower than serial and attributes a tampered
+/// member.
+impl Gated for E12Batch {
+    fn failed_gates(&self) -> Vec<&'static str> {
+        failed(&[
+            ("batch_not_slower", self.batch_not_slower),
+            ("tampered_attributed", self.tampered_attributed),
+        ])
+    }
 }
 
 /// Recorded fast-path signing floors (µs) per modulus width, with ~3×
@@ -978,80 +1058,83 @@ pub fn e12_rsa_kernels(bit_sizes: &[usize], quick: bool) -> (Vec<E12Row>, Vec<E1
 
 // --------------------------------------------------------------- E13 ----
 
-/// One row of the E13 worker-count sweep: the E10 scenario at a fixed
-/// client load, driven by a [`tpnr_par::Pool`] of `workers` workers. The
-/// perf gates (`scaling_ok`) and the scheduling-invariance gate
-/// (`deterministic_vs_serial`) are computed by the measurement code
-/// itself, E12-style, so CI greps for `false`.
-#[derive(Debug, Clone)]
-pub struct E13Row {
-    /// Simulated clients (identical in every row of a sweep).
-    pub clients: u64,
-    /// Simulation lanes the load was split into.
-    pub lanes: u64,
-    /// Configured pool workers for this row.
-    pub workers: u64,
-    /// The host's advertised core count. Speedup expectations scale with
-    /// `min(workers, available_parallelism)`, so rows stay honest on
-    /// small hosts (a 1-core box cannot show parallel speedup, only
-    /// bounded overhead).
-    pub available_parallelism: u64,
-    /// Transactions completed with full evidence.
-    pub completed: u64,
-    /// Host wall-clock, in milliseconds.
-    pub elapsed_ms: u64,
-    /// Settled transactions per host-second.
-    pub txn_per_sec: u64,
-    /// Throughput relative to this sweep's `workers == 1` row, ×100.
-    pub speedup_x100: u64,
-    /// Parallel efficiency: speedup ÷ effective cores, ×100.
-    pub efficiency_x100: u64,
-    /// The floor `speedup_x100` must clear for this row's effective core
-    /// count (recorded so the gate is auditable from the JSONL alone).
-    pub required_speedup_x100: u64,
-    /// `speedup_x100 >= required_speedup_x100`.
-    pub scaling_ok: bool,
-    /// Steal operations during the lane fan-out (timing-dependent).
-    pub steals: u64,
-    /// Stealable tasks the lane range was split into.
-    pub tasks: u64,
-    /// Median settle latency (sim-time µs).
-    pub p50_us: u64,
-    /// 99th-percentile settle latency (sim-time µs).
-    pub p99_us: u64,
-    /// Lanes violating the delivery conservation law (must be 0).
-    pub conservation_violations: u64,
-    /// Evidence lost across eviction + re-hydration (must be 0).
-    pub evidence_loss: u64,
-    /// Non-timing output byte-identical to the `workers == 1` row — the
-    /// work-stealing determinism claim, checked on every row.
-    pub deterministic_vs_serial: bool,
+bench_row! {
+    kind = "e13";
+    /// One row of the E13 worker-count sweep: the E10 scenario at a fixed
+    /// client load, driven by a [`tpnr_par::Pool`] of `workers` workers. The
+    /// perf gates (`scaling_ok`) and the scheduling-invariance gate
+    /// (`deterministic_vs_serial`) are computed by the measurement code
+    /// itself, E12-style, and checked by the row's [`Gated`] impl.
+    #[derive(Debug, Clone, Default)]
+    pub struct E13Row {
+        /// Simulated clients (identical in every row of a sweep).
+        pub clients: u64,
+        /// Simulation lanes the load was split into.
+        pub lanes: u64,
+        /// Configured pool workers for this row.
+        pub workers: u64,
+        /// The host's advertised core count. Speedup expectations scale with
+        /// `min(workers, available_parallelism)`, so rows stay honest on
+        /// small hosts (a 1-core box cannot show parallel speedup, only
+        /// bounded overhead).
+        pub available_parallelism: u64,
+        /// Transactions completed with full evidence.
+        pub completed: u64,
+        /// Host wall-clock, in milliseconds.
+        pub elapsed_ms: u64,
+        /// Settled transactions per host-second.
+        pub txn_per_sec: u64,
+        /// Throughput relative to this sweep's `workers == 1` row, ×100.
+        pub speedup_x100: u64,
+        /// Parallel efficiency: speedup ÷ effective cores, ×100.
+        pub efficiency_x100: u64,
+        /// The floor `speedup_x100` must clear for this row's effective core
+        /// count (recorded so the gate is auditable from the JSONL alone).
+        pub required_speedup_x100: u64,
+        /// `speedup_x100 >= required_speedup_x100`.
+        pub scaling_ok: bool,
+        /// Steal operations during the lane fan-out (timing-dependent).
+        pub steals: u64,
+        /// Stealable tasks the lane range was split into.
+        pub tasks: u64,
+        /// Median settle latency (sim-time µs).
+        pub p50_us: u64,
+        /// 99th-percentile settle latency (sim-time µs).
+        pub p99_us: u64,
+        /// Lanes violating the delivery conservation law (must be 0).
+        pub conservation_violations: u64,
+        /// Evidence lost across eviction + re-hydration (must be 0).
+        pub evidence_loss: u64,
+        /// Non-timing output byte-identical to the `workers == 1` row — the
+        /// work-stealing determinism claim, checked on every row.
+        pub deterministic_vs_serial: bool,
+    }
 }
 
-/// The E10 fields that must be byte-identical however the fan-out is
-/// scheduled: everything except host timing (`elapsed_ms`, `txn_per_sec`)
-/// and the scheduler counters (`workers`, `steals`, `tasks`).
-fn e10_non_timing_fingerprint(r: &E10Row) -> String {
-    format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
-        r.clients,
-        r.lanes,
-        r.completed,
-        r.p50_us,
-        r.p99_us,
-        r.bytes_per_client,
-        r.sent,
-        r.delivered,
-        r.dropped,
-        r.duplicated,
-        r.conservation_violations,
-        r.evicted,
-        r.rehydrated,
-        r.resident,
-        r.archive_bytes,
-        r.evidence_loss,
-        r.gave_up,
-    )
+/// Every worker count meets its speedup floor and reproduces the serial
+/// run, and the E10 conservation and evidence laws hold.
+impl Gated for E13Row {
+    fn failed_gates(&self) -> Vec<&'static str> {
+        failed(&[
+            ("scaling_ok", self.scaling_ok),
+            ("deterministic_vs_serial", self.deterministic_vs_serial),
+            ("conservation_violations", self.conservation_violations == 0),
+            ("evidence_loss", self.evidence_loss == 0),
+        ])
+    }
+}
+
+/// The E10 row's JSONL line without the fields that depend on how the
+/// fan-out was scheduled: host timing (`elapsed_ms`, `txn_per_sec`), the
+/// host's core count and the scheduler counters (`workers`, `steals`,
+/// `tasks`). Everything left must be byte-identical for a given seed.
+pub(crate) fn e10_non_timing_fingerprint(r: &E10Row) -> String {
+    let mut out = String::new();
+    r.write_jsonl_without(
+        &["elapsed_ms", "txn_per_sec", "workers", "available_parallelism", "steals", "tasks"],
+        &mut out,
+    );
+    out
 }
 
 /// Speedup floor (×100) by effective core count. One effective core can
@@ -1125,60 +1208,78 @@ pub fn e13_worker_sweep(clients: usize, seed: u64) -> Vec<E13Row> {
 
 // --------------------------------------------------------------- E14 ----
 
-/// One row of the E14 transport comparison: the same protocol workload —
-/// a sustained run of evidence transactions plus the five §5 attack
-/// probes — executed on one [`Transport`] backend. The gates
-/// (`conservation_violations`, `evidence_loss`, `attacks_ok`) are
-/// computed by the measurement code itself, E12/E13-style, so CI greps
-/// the JSONL export directly.
-#[derive(Debug, Clone)]
-pub struct E14Row {
-    /// Backend name: "simnet", "channel" or "tcp".
-    pub backend: &'static str,
-    /// Evidence transactions attempted in the throughput lane.
-    pub txns: u64,
-    /// Transactions that completed in Normal mode.
-    pub completed: u64,
-    /// Host wall-clock for the throughput lane, in milliseconds.
-    pub elapsed_ms: u64,
-    /// Wire messages delivered per host-second.
-    pub msgs_per_sec: u64,
-    /// Evidence transactions settled per host-second.
-    pub txn_per_sec: u64,
-    /// `txn_per_sec` divided by the threads the lane ran its protocol work
-    /// on ([`E14Row::lane_threads`]), not by the host's core count: a
-    /// single-threaded lane on a 2-core host runs at its full per-core
-    /// rate, not half of it.
-    pub txn_per_sec_per_core: u64,
-    /// The host's advertised core count.
-    pub available_parallelism: u64,
-    /// Threads the throughput lane ran protocol work on (0 for a skipped
-    /// row). TCP reader threads only move frames off sockets.
-    pub lane_threads: u64,
-    /// Backend counter: message copies sent.
-    pub sent: u64,
-    /// Backend counter: copies delivered.
-    pub delivered: u64,
-    /// Backend counter: copies dropped (counted, never vanished).
-    pub dropped: u64,
-    /// Backend counter: copies duplicated on the wire.
-    pub duplicated: u64,
-    /// Rows violating `delivered + dropped == sent + duplicated`
-    /// (must be 0).
-    pub conservation_violations: u64,
-    /// Transactions that finished without both NRO and NRR (must be 0 on
-    /// a healthy wire).
-    pub evidence_loss: u64,
-    /// §5 attack probes the backend rejected.
-    pub attacks_rejected: u64,
-    /// §5 attack probes run (5: MITM, reflection, interleaving, replay,
-    /// timeliness).
-    pub attacks_expected: u64,
-    /// `attacks_rejected == attacks_expected`.
-    pub attacks_ok: bool,
-    /// True when the backend could not be brought up (e.g. loopback bind
-    /// refused in a sandbox) and the row carries no measurements.
-    pub skipped: bool,
+bench_row! {
+    kind = "e14";
+    /// One row of the E14 transport comparison: the same protocol workload —
+    /// a sustained run of evidence transactions plus the five §5 attack
+    /// probes — executed on one [`Transport`] backend. The gates
+    /// (`conservation_violations`, `evidence_loss`, `attacks_ok`) are
+    /// computed by the measurement code itself, E12/E13-style, and checked
+    /// by the row's [`Gated`] impl.
+    #[derive(Debug, Clone, Default)]
+    pub struct E14Row {
+        /// Backend name: "simnet", "channel" or "tcp".
+        pub backend: &'static str,
+        /// Evidence transactions attempted in the throughput lane.
+        pub txns: u64,
+        /// Transactions that completed in Normal mode.
+        pub completed: u64,
+        /// Host wall-clock for the throughput lane, in milliseconds.
+        pub elapsed_ms: u64,
+        /// Wire messages delivered per host-second.
+        pub msgs_per_sec: u64,
+        /// Evidence transactions settled per host-second.
+        pub txn_per_sec: u64,
+        /// `txn_per_sec` divided by the threads the lane ran its protocol work
+        /// on ([`E14Row::lane_threads`]), not by the host's core count: a
+        /// single-threaded lane on a 2-core host runs at its full per-core
+        /// rate, not half of it.
+        pub txn_per_sec_per_core: u64,
+        /// The host's advertised core count.
+        pub available_parallelism: u64,
+        /// Threads the throughput lane ran protocol work on (0 for a skipped
+        /// row). TCP reader threads only move frames off sockets.
+        pub lane_threads: u64,
+        /// Backend counter: message copies sent.
+        pub sent: u64,
+        /// Backend counter: copies delivered.
+        pub delivered: u64,
+        /// Backend counter: copies dropped (counted, never vanished).
+        pub dropped: u64,
+        /// Backend counter: copies duplicated on the wire.
+        pub duplicated: u64,
+        /// Rows violating `delivered + dropped == sent + duplicated`
+        /// (must be 0).
+        pub conservation_violations: u64,
+        /// Transactions that finished without both NRO and NRR (must be 0 on
+        /// a healthy wire).
+        pub evidence_loss: u64,
+        /// §5 attack probes the backend rejected.
+        pub attacks_rejected: u64,
+        /// §5 attack probes run (5: MITM, reflection, interleaving, replay,
+        /// timeliness).
+        pub attacks_expected: u64,
+        /// `attacks_rejected == attacks_expected`.
+        pub attacks_ok: bool,
+        /// True when the backend could not be brought up (e.g. loopback bind
+        /// refused in a sandbox) and the row carries no measurements.
+        pub skipped: bool,
+    }
+}
+
+/// The same protocol code holds the conservation law, loses no evidence
+/// and rejects all five §5 attacks on every backend that ran. Only the tcp
+/// row may be skipped, on hosts that refuse the loopback bind: the
+/// simulator and the in-process channel wire must always run.
+impl Gated for E14Row {
+    fn failed_gates(&self) -> Vec<&'static str> {
+        failed(&[
+            ("conservation_violations", self.conservation_violations == 0),
+            ("evidence_loss", self.evidence_loss == 0),
+            ("attacks_ok", self.attacks_ok),
+            ("skipped", !self.skipped || self.backend == "tcp"),
+        ])
+    }
 }
 
 /// Protocol timers short enough for real-wire runs: on a live socket the
@@ -1351,24 +1452,10 @@ fn per_core_rate(rate: u64, threads: u64) -> u64 {
 fn e14_skipped(backend: &'static str, host: u64) -> E14Row {
     E14Row {
         backend,
-        txns: 0,
-        completed: 0,
-        elapsed_ms: 0,
-        msgs_per_sec: 0,
-        txn_per_sec: 0,
-        txn_per_sec_per_core: 0,
         available_parallelism: host,
-        lane_threads: 0,
-        sent: 0,
-        delivered: 0,
-        dropped: 0,
-        duplicated: 0,
-        conservation_violations: 0,
-        evidence_loss: 0,
-        attacks_rejected: 0,
-        attacks_expected: 0,
         attacks_ok: true,
         skipped: true,
+        ..E14Row::default()
     }
 }
 
@@ -1502,6 +1589,73 @@ mod tests {
         let row = e14_run_backend("simnet", 2, 1, &mut || Some(SimNet::new(1)));
         assert_eq!(row.lane_threads, 1);
         assert_eq!(row.txn_per_sec_per_core, row.txn_per_sec);
+    }
+
+    /// A gate name and an edit that breaks that gate alone.
+    type Flip<R> = (&'static str, fn(&mut R));
+
+    /// `ok` passes every gate, and each flip alone makes it fail exactly the
+    /// named gate: no gate was dropped or loosened.
+    fn assert_gates<R: Gated + Clone>(ok: R, flips: &[Flip<R>]) {
+        assert_eq!(ok.failed_gates(), Vec::<&str>::new());
+        for (gate, flip) in flips {
+            let mut bad = ok.clone();
+            flip(&mut bad);
+            assert_eq!(bad.failed_gates(), vec![*gate]);
+        }
+    }
+
+    #[test]
+    fn each_gate_fails_on_its_own_field_alone() {
+        assert_gates(
+            E8Row::default(),
+            &[("limbo", |r| r.limbo = 1), ("evidence_loss", |r| r.evidence_loss = 1)],
+        );
+        assert_gates(
+            E10Row { evicted: 1, ..E10Row::default() },
+            &[
+                ("conservation_violations", |r| r.conservation_violations = 1),
+                ("evidence_loss", |r| r.evidence_loss = 1),
+                ("evicted", |r| r.evicted = 0),
+            ],
+        );
+        assert_gates(
+            E12Row { sign_floor_ok: true, sign_alloc_free: true, ..E12Row::default() },
+            &[
+                ("sign_floor_ok", |r| r.sign_floor_ok = false),
+                ("sign_alloc_free", |r| r.sign_alloc_free = false),
+            ],
+        );
+        assert_gates(
+            E12Batch { batch_not_slower: true, tampered_attributed: true, ..E12Batch::default() },
+            &[
+                ("batch_not_slower", |r| r.batch_not_slower = false),
+                ("tampered_attributed", |r| r.tampered_attributed = false),
+            ],
+        );
+        assert_gates(
+            E13Row { scaling_ok: true, deterministic_vs_serial: true, ..E13Row::default() },
+            &[
+                ("scaling_ok", |r| r.scaling_ok = false),
+                ("deterministic_vs_serial", |r| r.deterministic_vs_serial = false),
+                ("conservation_violations", |r| r.conservation_violations = 1),
+                ("evidence_loss", |r| r.evidence_loss = 1),
+            ],
+        );
+        for backend in ["simnet", "channel"] {
+            assert_gates(
+                E14Row { backend, attacks_ok: true, ..E14Row::default() },
+                &[
+                    ("conservation_violations", |r| r.conservation_violations = 1),
+                    ("evidence_loss", |r| r.evidence_loss = 1),
+                    ("attacks_ok", |r| r.attacks_ok = false),
+                    ("skipped", |r| r.skipped = true),
+                ],
+            );
+        }
+        // Only tcp may be skipped; E4 rows carry no gates.
+        assert!(e14_skipped("tcp", 2).failed_gates().is_empty());
+        assert!(e4_transport_copies(1 << 10).failed_gates().is_empty());
     }
 
     #[test]
@@ -1649,7 +1803,8 @@ mod tests {
 
     #[test]
     fn e4_transport_probe_reports_a_copy_free_upload() {
-        assert_eq!(e4_transport_copies(1 << 16), (0, 0));
+        let probe = e4_transport_copies(1 << 16);
+        assert_eq!((probe.upload_deep_copies, probe.upload_deep_copy_bytes), (0, 0));
     }
 
     #[test]

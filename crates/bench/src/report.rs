@@ -104,35 +104,6 @@ pub fn render_e4(rows: &[E4Row]) -> String {
     out
 }
 
-/// Renders the E4 sweep plus the transport copy probes as machine-readable
-/// JSONL (one object per line, `validate_jsonl`-clean). Written to
-/// `BENCH_e4.json` by `experiments --bench-e4`.
-pub fn render_bench_e4_json(rows: &[E4Row], transport: &[(usize, u64, u64)]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "{{\"kind\":\"e4\",\"size\":{},\"alg\":\"{}\",\"generate_us\":{:.1},\
-             \"verify_us\":{:.1},\"cache_hits\":{},\"cache_misses\":{},\
-             \"deep_copies\":{},\"deep_copy_bytes\":{}}}\n",
-            r.size,
-            r.alg.name(),
-            r.generate_us,
-            r.verify_us,
-            r.cache_hits,
-            r.cache_misses,
-            r.deep_copies,
-            r.deep_copy_bytes,
-        ));
-    }
-    for &(size, copies, bytes) in transport {
-        out.push_str(&format!(
-            "{{\"kind\":\"e4-transport\",\"size\":{size},\"upload_deep_copies\":{copies},\
-             \"upload_deep_copy_bytes\":{bytes}}}\n",
-        ));
-    }
-    out
-}
-
 /// Renders E5 as a table.
 pub fn render_e5(rows: &[E5Row]) -> String {
     let mut out = String::from(
@@ -215,34 +186,6 @@ pub fn render_e8(rows: &[E8Row]) -> String {
     out
 }
 
-/// Renders the E8 chaos sweep as machine-readable JSONL (one object per
-/// line, `validate_jsonl`-clean, all-integer fields so reruns are
-/// byte-identical). Written to `BENCH_e8.json` by `experiments --bench-e8`.
-pub fn render_bench_e8_json(rows: &[E8Row]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let evidence_loss = r.limbo;
-        out.push_str(&format!(
-            "{{\"kind\":\"e8\",\"crash_prob_permille\":{},\"trials\":{},\
-             \"completed_full_evidence\":{},\"arbitrable_terminal\":{},\
-             \"limbo\":{},\"evidence_loss\":{},\"crashes\":{},\"restarts\":{},\
-             \"retries\":{},\"gave_up\":{},\"snapshot_bytes\":{}}}\n",
-            r.crash_prob_permille,
-            r.trials,
-            r.completed_full_evidence,
-            r.arbitrable_terminal,
-            r.limbo,
-            evidence_loss,
-            r.crashes,
-            r.restarts,
-            r.retries,
-            r.gave_up,
-            r.snapshot_bytes,
-        ));
-    }
-    out
-}
-
 /// Renders E10 as a table.
 pub fn render_e10(rows: &[E10Row]) -> String {
     let mut out = String::from(
@@ -264,51 +207,6 @@ pub fn render_e10(rows: &[E10Row]) -> String {
             r.resident,
             r.conservation_violations,
             r.evidence_loss,
-        ));
-    }
-    out
-}
-
-/// Renders the E10 scale sweep as machine-readable JSONL (one object per
-/// line, `validate_jsonl`-clean, all-integer fields). Written to
-/// `BENCH_e10.json` by `experiments --bench-e10`. The host-timing pair
-/// (`elapsed_ms`, `txn_per_sec`) and the `steals` counter are the only
-/// non-deterministic content; everything else is byte-identical across
-/// reruns of the same seed, whatever the worker count.
-pub fn render_bench_e10_json(rows: &[E10Row]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "{{\"kind\":\"e10\",\"clients\":{},\"lanes\":{},\"completed\":{},\
-             \"elapsed_ms\":{},\"txn_per_sec\":{},\"p50_us\":{},\"p99_us\":{},\
-             \"bytes_per_client\":{},\"sent\":{},\"delivered\":{},\"dropped\":{},\
-             \"duplicated\":{},\"conservation_violations\":{},\"evicted\":{},\
-             \"rehydrated\":{},\"resident\":{},\"archive_bytes\":{},\
-             \"evidence_loss\":{},\"gave_up\":{},\"workers\":{},\
-             \"available_parallelism\":{},\"steals\":{},\"tasks\":{}}}\n",
-            r.clients,
-            r.lanes,
-            r.completed,
-            r.elapsed_ms,
-            r.txn_per_sec,
-            r.p50_us,
-            r.p99_us,
-            r.bytes_per_client,
-            r.sent,
-            r.delivered,
-            r.dropped,
-            r.duplicated,
-            r.conservation_violations,
-            r.evicted,
-            r.rehydrated,
-            r.resident,
-            r.archive_bytes,
-            r.evidence_loss,
-            r.gave_up,
-            r.workers,
-            r.available_parallelism,
-            r.steals,
-            r.tasks,
         ));
     }
     out
@@ -337,44 +235,6 @@ pub fn render_e13(rows: &[E13Row]) -> String {
             r.p99_us,
             if r.deterministic_vs_serial { "yes" } else { "NO" },
             if r.scaling_ok { "ok" } else { "FAIL" },
-        ));
-    }
-    out
-}
-
-/// Renders the E13 worker sweep as machine-readable JSONL. Written to
-/// `BENCH_e13.json` by `experiments --bench-e13`. The gate booleans
-/// (`scaling_ok`, `deterministic_vs_serial`) are computed by the
-/// measurement code itself — CI greps this export for `false`.
-pub fn render_bench_e13_json(rows: &[E13Row]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "{{\"kind\":\"e13\",\"clients\":{},\"lanes\":{},\"workers\":{},\
-             \"available_parallelism\":{},\"completed\":{},\"elapsed_ms\":{},\
-             \"txn_per_sec\":{},\"speedup_x100\":{},\"efficiency_x100\":{},\
-             \"required_speedup_x100\":{},\"scaling_ok\":{},\"steals\":{},\
-             \"tasks\":{},\"p50_us\":{},\"p99_us\":{},\
-             \"conservation_violations\":{},\"evidence_loss\":{},\
-             \"deterministic_vs_serial\":{}}}\n",
-            r.clients,
-            r.lanes,
-            r.workers,
-            r.available_parallelism,
-            r.completed,
-            r.elapsed_ms,
-            r.txn_per_sec,
-            r.speedup_x100,
-            r.efficiency_x100,
-            r.required_speedup_x100,
-            r.scaling_ok,
-            r.steals,
-            r.tasks,
-            r.p50_us,
-            r.p99_us,
-            r.conservation_violations,
-            r.evidence_loss,
-            r.deterministic_vs_serial,
         ));
     }
     out
@@ -412,46 +272,6 @@ pub fn render_e14(rows: &[E14Row]) -> String {
             } else {
                 "FAIL"
             },
-        ));
-    }
-    out
-}
-
-/// Renders the E14 backend comparison as machine-readable JSONL (one
-/// object per line, `validate_jsonl`-clean). Written to `BENCH_e14.json`
-/// by `experiments --bench-e14`. The gates (`conservation_violations`,
-/// `evidence_loss`, `attacks_ok`) are computed by the measurement code —
-/// CI greps this export directly.
-pub fn render_bench_e14_json(rows: &[E14Row]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "{{\"kind\":\"e14\",\"backend\":\"{}\",\"txns\":{},\"completed\":{},\
-             \"elapsed_ms\":{},\"msgs_per_sec\":{},\"txn_per_sec\":{},\
-             \"txn_per_sec_per_core\":{},\"available_parallelism\":{},\
-             \"lane_threads\":{},\"sent\":{},\"delivered\":{},\"dropped\":{},\"duplicated\":{},\
-             \"conservation_violations\":{},\"evidence_loss\":{},\
-             \"attacks_rejected\":{},\"attacks_expected\":{},\
-             \"attacks_ok\":{},\"skipped\":{}}}\n",
-            r.backend,
-            r.txns,
-            r.completed,
-            r.elapsed_ms,
-            r.msgs_per_sec,
-            r.txn_per_sec,
-            r.txn_per_sec_per_core,
-            r.available_parallelism,
-            r.lane_threads,
-            r.sent,
-            r.delivered,
-            r.dropped,
-            r.duplicated,
-            r.conservation_violations,
-            r.evidence_loss,
-            r.attacks_rejected,
-            r.attacks_expected,
-            r.attacks_ok,
-            r.skipped,
         ));
     }
     out
@@ -499,54 +319,10 @@ pub fn render_e12(rows: &[E12Row], batches: &[E12Batch]) -> String {
     out
 }
 
-/// Renders the E12 RSA-kernel sweep as machine-readable JSONL. Written to
-/// `BENCH_e12.json` by `experiments --bench-e12`. The boolean gate fields
-/// (`sign_floor_ok`, `sign_alloc_free`, `batch_not_slower`,
-/// `tampered_attributed`) are emitted
-/// by the measurement code itself so the CI smoke step can grep for them
-/// instead of re-deriving thresholds in shell.
-pub fn render_bench_e12_json(rows: &[E12Row], batches: &[E12Batch]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        out.push_str(&format!(
-            "{{\"kind\":\"e12\",\"bits\":{},\"alg\":\"{}\",\"sign_classic_us\":{},\
-             \"sign_fast_us\":{},\"sign_speedup_x100\":{},\"verify_classic_us\":{},\
-             \"verify_fast_us\":{},\"allocs_per_sign_classic\":{},\
-             \"allocs_per_sign_fast\":{},\"sign_floor_ok\":{},\"sign_alloc_free\":{}}}\n",
-            r.bits,
-            json_escape(r.alg),
-            r.sign_classic_us,
-            r.sign_fast_us,
-            r.sign_speedup_x100,
-            r.verify_classic_us,
-            r.verify_fast_us,
-            r.allocs_per_sign_classic,
-            r.allocs_per_sign_fast,
-            r.sign_floor_ok,
-            r.sign_alloc_free,
-        ));
-    }
-    for b in batches {
-        out.push_str(&format!(
-            "{{\"kind\":\"e12_batch\",\"bits\":{},\"n\":{},\"serial_us\":{},\
-             \"batch_us\":{},\"amortization_x100\":{},\"batch_not_slower\":{},\
-             \"tampered_attributed\":{}}}\n",
-            b.bits,
-            b.n,
-            b.serial_us,
-            b.batch_us,
-            b.amortization_x100,
-            b.batch_not_slower,
-            b.tampered_attributed,
-        ));
-    }
-    out
-}
-
 // ------------------------------------------------------------- JSONL ----
 
 /// Escapes `s` for inclusion inside a JSON string literal.
-fn json_escape(s: &str) -> String {
+pub(crate) fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {
@@ -851,6 +627,14 @@ impl JsonParser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::{BenchRow, Export, Gated};
+
+    /// The JSONL lines `experiments --bench-eN` writes for `rows`.
+    fn export_jsonl<R: BenchRow + Gated>(rows: &[R]) -> String {
+        let mut export = Export::default();
+        export.push_rows(rows);
+        export.jsonl
+    }
 
     #[test]
     fn human_sizes() {
@@ -935,7 +719,7 @@ mod tests {
     fn bench_e4_json_is_valid_jsonl() {
         use tpnr_crypto::hash::HashAlg;
         let rows = e4_evidence_cost(&[1 << 10], &[HashAlg::Md5]);
-        let jsonl = render_bench_e4_json(&rows, &[(1 << 10, 0, 0)]);
+        let jsonl = export_jsonl(&rows) + &export_jsonl(&[e4_transport_copies(1 << 10)]);
         assert_eq!(validate_jsonl(&jsonl), Ok(2));
         assert!(jsonl.contains("\"kind\":\"e4\""));
         assert!(jsonl.contains("\"kind\":\"e4-transport\""));
@@ -945,7 +729,7 @@ mod tests {
     #[test]
     fn bench_e8_json_is_valid_jsonl() {
         let rows = e8_chaos(&[0, 300], 4);
-        let jsonl = render_bench_e8_json(&rows);
+        let jsonl = export_jsonl(&rows);
         assert_eq!(validate_jsonl(&jsonl), Ok(2));
         assert!(jsonl.contains("\"kind\":\"e8\""));
         assert!(jsonl.contains("\"evidence_loss\":0"));
@@ -959,7 +743,7 @@ mod tests {
         // Two counts, one straddling the lane boundary so a ragged final
         // lane is exercised.
         let rows = e10_scale(&[40, 300], 7);
-        let jsonl = render_bench_e10_json(&rows);
+        let jsonl = export_jsonl(&rows);
         assert_eq!(validate_jsonl(&jsonl), Ok(2));
         assert!(jsonl.contains("\"kind\":\"e10\""));
         for r in &rows {
@@ -988,7 +772,7 @@ mod tests {
     #[test]
     fn bench_e13_json_is_valid_jsonl_and_gates_hold() {
         let rows = e13_worker_sweep(300, 7);
-        let jsonl = render_bench_e13_json(&rows);
+        let jsonl = export_jsonl(&rows);
         assert_eq!(validate_jsonl(&jsonl), Ok(rows.len()));
         assert!(jsonl.contains("\"kind\":\"e13\""));
         for r in &rows {
@@ -1004,7 +788,7 @@ mod tests {
     fn bench_e14_json_is_valid_jsonl_and_gates_hold() {
         let rows = e14_backend_comparison(7, true);
         assert_eq!(rows.len(), 3, "simnet, channel and tcp rows");
-        let jsonl = render_bench_e14_json(&rows);
+        let jsonl = export_jsonl(&rows);
         assert_eq!(validate_jsonl(&jsonl), Ok(rows.len()));
         assert!(jsonl.contains("\"kind\":\"e14\""));
         assert!(jsonl.contains("\"backend\":\"simnet\""));
@@ -1036,7 +820,7 @@ mod tests {
         let (rows, batches) = e12_rsa_kernels(&[512], true);
         assert_eq!(rows.len(), 3);
         assert_eq!(batches.len(), 1);
-        let jsonl = render_bench_e12_json(&rows, &batches);
+        let jsonl = export_jsonl(&rows) + &export_jsonl(&batches);
         assert_eq!(validate_jsonl(&jsonl), Ok(4));
         assert!(jsonl.contains("\"kind\":\"e12\""));
         assert!(jsonl.contains("\"kind\":\"e12_batch\""));
@@ -1060,27 +844,151 @@ mod tests {
 
     #[test]
     fn bench_e10_non_timing_fields_are_deterministic() {
-        let strip = |rows: &[E10Row]| {
-            render_bench_e10_json(rows)
-                .lines()
-                .map(|l| {
-                    // Drop the host-timing pair and the steal counter
-                    // (which worker went idle first is scheduling noise);
-                    // everything else must be byte-identical across reruns.
-                    l.split(',')
-                        .filter(|f| {
-                            !f.contains("\"elapsed_ms\"")
-                                && !f.contains("\"txn_per_sec\"")
-                                && !f.contains("\"steals\"")
-                        })
-                        .collect::<Vec<_>>()
-                        .join(",")
-                })
-                .collect::<Vec<_>>()
-        };
         let a = e10_scale(&[200], 11);
         let b = e10_scale(&[200], 11);
-        assert_eq!(strip(&a), strip(&b));
+        assert_eq!(e10_non_timing_fingerprint(&a[0]), e10_non_timing_fingerprint(&b[0]));
+    }
+
+    /// The exact JSONL line of one synthetic row of each of the eight kinds.
+    const PINNED_JSONL: &str = concat!(
+        "{\"kind\":\"e4\",\"size\":1024,\"alg\":\"SHA-256\",\"generate_us\":12.3,\"verify_us\":6.8,\"cache_hits\":18,\"cache_misses\":2,\"deep_copies\":3,\"deep_copy_bytes\":4096}\n",
+        "{\"kind\":\"e4-transport\",\"size\":65536,\"upload_deep_copies\":5,\"upload_deep_copy_bytes\":6}\n",
+        "{\"kind\":\"e8\",\"crash_prob_permille\":150,\"trials\":10,\"completed_full_evidence\":7,\"arbitrable_terminal\":2,\"limbo\":1,\"evidence_loss\":1,\"crashes\":11,\"restarts\":12,\"retries\":13,\"gave_up\":14,\"snapshot_bytes\":15}\n",
+        "{\"kind\":\"e10\",\"clients\":1000,\"lanes\":4,\"completed\":999,\"elapsed_ms\":21,\"txn_per_sec\":22,\"p50_us\":23,\"p99_us\":24,\"bytes_per_client\":25,\"sent\":26,\"delivered\":27,\"dropped\":28,\"duplicated\":29,\"conservation_violations\":30,\"evicted\":31,\"rehydrated\":32,\"resident\":33,\"archive_bytes\":34,\"evidence_loss\":35,\"gave_up\":36,\"workers\":37,\"available_parallelism\":38,\"steals\":39,\"tasks\":40}\n",
+        "{\"kind\":\"e12\",\"bits\":512,\"alg\":\"sha1\",\"sign_classic_us\":41,\"sign_fast_us\":42,\"sign_speedup_x100\":43,\"verify_classic_us\":44,\"verify_fast_us\":45,\"allocs_per_sign_classic\":46,\"allocs_per_sign_fast\":0,\"sign_floor_ok\":true,\"sign_alloc_free\":false}\n",
+        "{\"kind\":\"e12_batch\",\"bits\":1024,\"n\":64,\"serial_us\":51,\"batch_us\":52,\"amortization_x100\":53,\"batch_not_slower\":false,\"tampered_attributed\":true}\n",
+        "{\"kind\":\"e13\",\"clients\":2048,\"lanes\":8,\"workers\":2,\"available_parallelism\":61,\"completed\":62,\"elapsed_ms\":63,\"txn_per_sec\":64,\"speedup_x100\":65,\"efficiency_x100\":66,\"required_speedup_x100\":67,\"scaling_ok\":true,\"steals\":68,\"tasks\":69,\"p50_us\":70,\"p99_us\":71,\"conservation_violations\":72,\"evidence_loss\":73,\"deterministic_vs_serial\":false}\n",
+        "{\"kind\":\"e14\",\"backend\":\"channel\",\"txns\":81,\"completed\":82,\"elapsed_ms\":83,\"msgs_per_sec\":84,\"txn_per_sec\":85,\"txn_per_sec_per_core\":86,\"available_parallelism\":87,\"lane_threads\":1,\"sent\":88,\"delivered\":89,\"dropped\":90,\"duplicated\":91,\"conservation_violations\":92,\"evidence_loss\":93,\"attacks_rejected\":4,\"attacks_expected\":5,\"attacks_ok\":false,\"skipped\":true}\n",
+    );
+
+    #[test]
+    fn bench_jsonl_schema_is_pinned() {
+        use tpnr_crypto::hash::HashAlg;
+        let e4 = E4Row {
+            size: 1024,
+            alg: HashAlg::Sha256,
+            generate_us: 12.34,
+            verify_us: 6.76,
+            cache_hits: 18,
+            cache_misses: 2,
+            deep_copies: 3,
+            deep_copy_bytes: 4096,
+        };
+        let e8 = E8Row {
+            crash_prob_permille: 150,
+            trials: 10,
+            completed_full_evidence: 7,
+            arbitrable_terminal: 2,
+            limbo: 1,
+            evidence_loss: 1,
+            crashes: 11,
+            restarts: 12,
+            retries: 13,
+            gave_up: 14,
+            snapshot_bytes: 15,
+        };
+        let e10 = E10Row {
+            clients: 1000,
+            lanes: 4,
+            completed: 999,
+            elapsed_ms: 21,
+            txn_per_sec: 22,
+            p50_us: 23,
+            p99_us: 24,
+            bytes_per_client: 25,
+            sent: 26,
+            delivered: 27,
+            dropped: 28,
+            duplicated: 29,
+            conservation_violations: 30,
+            evicted: 31,
+            rehydrated: 32,
+            resident: 33,
+            archive_bytes: 34,
+            evidence_loss: 35,
+            gave_up: 36,
+            workers: 37,
+            available_parallelism: 38,
+            steals: 39,
+            tasks: 40,
+        };
+        let e12 = E12Row {
+            bits: 512,
+            alg: "sha1",
+            sign_classic_us: 41,
+            sign_fast_us: 42,
+            sign_speedup_x100: 43,
+            verify_classic_us: 44,
+            verify_fast_us: 45,
+            allocs_per_sign_classic: 46,
+            allocs_per_sign_fast: 0,
+            sign_floor_ok: true,
+            sign_alloc_free: false,
+        };
+        let e12_batch = E12Batch {
+            bits: 1024,
+            n: 64,
+            serial_us: 51,
+            batch_us: 52,
+            amortization_x100: 53,
+            batch_not_slower: false,
+            tampered_attributed: true,
+        };
+        let e13 = E13Row {
+            clients: 2048,
+            lanes: 8,
+            workers: 2,
+            available_parallelism: 61,
+            completed: 62,
+            elapsed_ms: 63,
+            txn_per_sec: 64,
+            speedup_x100: 65,
+            efficiency_x100: 66,
+            required_speedup_x100: 67,
+            scaling_ok: true,
+            steals: 68,
+            tasks: 69,
+            p50_us: 70,
+            p99_us: 71,
+            conservation_violations: 72,
+            evidence_loss: 73,
+            deterministic_vs_serial: false,
+        };
+        let e14 = E14Row {
+            backend: "channel",
+            txns: 81,
+            completed: 82,
+            elapsed_ms: 83,
+            msgs_per_sec: 84,
+            txn_per_sec: 85,
+            txn_per_sec_per_core: 86,
+            available_parallelism: 87,
+            lane_threads: 1,
+            sent: 88,
+            delivered: 89,
+            dropped: 90,
+            duplicated: 91,
+            conservation_violations: 92,
+            evidence_loss: 93,
+            attacks_rejected: 4,
+            attacks_expected: 5,
+            attacks_ok: false,
+            skipped: true,
+        };
+        let e4_transport =
+            E4Transport { size: 65536, upload_deep_copies: 5, upload_deep_copy_bytes: 6 };
+        let got = [
+            export_jsonl(&[e4]),
+            export_jsonl(&[e4_transport]),
+            export_jsonl(&[e8]),
+            export_jsonl(&[e10]),
+            export_jsonl(&[e12]),
+            export_jsonl(&[e12_batch]),
+            export_jsonl(&[e13]),
+            export_jsonl(&[e14]),
+        ]
+        .concat();
+        assert_eq!(got, PINNED_JSONL);
     }
 
     #[test]

@@ -63,6 +63,8 @@ impl std::fmt::Debug for RsaPublicKey {
 #[derive(Clone)]
 pub struct RsaPrivateKey {
     public: RsaPublicKey,
+    /// The private exponent: the CRT parameters replace it outside tests.
+    #[cfg(test)]
     d: BigUint,
     p: BigUint,
     q: BigUint,
@@ -610,7 +612,8 @@ impl RsaPrivateKey {
 
     /// Raw private-key operation without the CRT (`c^d mod n`); used to
     /// cross-check the CRT path in tests.
-    pub fn raw_decrypt_no_crt(&self, c: &BigUint) -> BigUint {
+    #[cfg(test)]
+    fn raw_decrypt_no_crt(&self, c: &BigUint) -> BigUint {
         c.mod_pow(&self.d, &self.public.n)
     }
 
@@ -749,7 +752,17 @@ impl RsaKeyPair {
         let public = RsaPublicKey::new(n, e);
         Some(RsaKeyPair {
             public: public.clone(),
-            private: RsaPrivateKey { public, d, p, q, dp, dq, qinv, engine },
+            private: RsaPrivateKey {
+                public,
+                #[cfg(test)]
+                d,
+                p,
+                q,
+                dp,
+                dq,
+                qinv,
+                engine,
+            },
         })
     }
 
